@@ -106,7 +106,7 @@ Db::OpenResult Db::open(ExtFs& fs, sim::SimTime now, DbConfig config) {
     // is always a redundant partial copy: its data is still in a .wal
     // or in the surviving input SSTs. Delete it like an open-time
     // EINVAL. A real disk error (EIO) still fails the open instead.
-    FsResult sc = r.reader->scan(t, [](std::string_view, const MemEntry&) {});
+    FsResult sc = r.reader->scan(t, [](const BlockEntry&) {});
     t = sc.done;
     if (sc.err == Errno::kEINVAL) {
       FsResult ul = fs.unlink(t, db->config_.root + "/" + f.name);
@@ -364,15 +364,18 @@ DbResult Db::compact(sim::SimTime now) {
 
   // Load every input (all L0 + all L1) and k-way merge by internal key.
   struct Input {
-    std::vector<std::pair<std::string, MemEntry>> entries;  // internal order
+    // (user key, entry) in internal-key order, copied out of the blocks.
+    std::vector<std::pair<std::string, MemEntry>> entries;
     std::size_t pos = 0;
   };
   std::vector<Input> inputs;
   std::vector<std::string> input_paths;
   auto load = [&](SstReader& r) -> Errno {
     Input in;
-    FsResult sr = r.scan(t, [&](std::string_view key, const MemEntry& e) {
-      in.entries.emplace_back(MemTable::internal_key(key, e.sequence), e);
+    FsResult sr = r.scan(t, [&](const BlockEntry& e) {
+      in.entries.emplace_back(
+          std::string(e.user_key),
+          MemEntry{e.type, e.sequence, std::string(e.value)});
     });
     t = sr.done;
     if (!sr.ok()) return sr.err;
@@ -395,11 +398,11 @@ DbResult Db::compact(sim::SimTime now) {
     }
   }
 
-  const InternalKeyLess less;
   auto cmp = [&](std::size_t a, std::size_t b) {
     // min-heap on internal key order (user key asc, sequence desc).
-    return less(inputs[b].entries[inputs[b].pos].first,
-                inputs[a].entries[inputs[a].pos].first);
+    const auto& [ka, ea] = inputs[a].entries[inputs[a].pos];
+    const auto& [kb, eb] = inputs[b].entries[inputs[b].pos];
+    return internal_less(kb, eb.sequence, ka, ea.sequence);
   };
   std::priority_queue<std::size_t, std::vector<std::size_t>, decltype(cmp)>
       heap(cmp);
@@ -421,8 +424,7 @@ DbResult Db::compact(sim::SimTime now) {
     const std::size_t i = heap.top();
     heap.pop();
     auto& in = inputs[i];
-    const auto& [ikey, entry] = in.entries[in.pos];
-    const std::string_view ukey = MemTable::user_key_of(ikey);
+    const auto& [ukey, entry] = in.entries[in.pos];
     if (!have_last || ukey != last_user_key) {
       last_user_key.assign(ukey);
       have_last = true;
@@ -598,12 +600,19 @@ struct ScanSource {
   bool valid() const {
     return kind == Kind::kMem ? mem.valid() : sst.valid();
   }
-  std::string_view internal_key() const {
-    if (kind == Kind::kMem) return mem.internal_key();
-    return sst.key();
+  std::string_view user_key() const {
+    if (kind == Kind::kMem) return MemTable::user_key_of(mem.internal_key());
+    return sst.entry().user_key;
   }
-  const MemEntry& entry() const {
-    return kind == Kind::kMem ? mem.entry() : sst.entry();
+  std::uint64_t sequence() const {
+    return kind == Kind::kMem ? mem.entry().sequence : sst.entry().sequence;
+  }
+  EntryType type() const {
+    return kind == Kind::kMem ? mem.entry().type : sst.entry().type;
+  }
+  std::string_view value() const {
+    if (kind == Kind::kMem) return mem.entry().value;
+    return sst.entry().value;
   }
   Errno next(sim::SimTime& t) {
     if (kind == Kind::kMem) {
@@ -669,10 +678,10 @@ ScanResult Db::scan(sim::SimTime now, std::string_view start_key,
     }
   }
 
-  const InternalKeyLess less;
   auto cmp = [&](std::size_t a, std::size_t b) {
     // min-heap on internal key order.
-    return less(sources[b].internal_key(), sources[a].internal_key());
+    return internal_less(sources[b].user_key(), sources[b].sequence(),
+                         sources[a].user_key(), sources[a].sequence());
   };
   std::priority_queue<std::size_t, std::vector<std::size_t>, decltype(cmp)>
       heap(cmp);
@@ -684,7 +693,7 @@ ScanResult Db::scan(sim::SimTime now, std::string_view start_key,
     const std::size_t i = heap.top();
     heap.pop();
     ScanSource& src = sources[i];
-    const std::string_view ukey = MemTable::user_key_of(src.internal_key());
+    const std::string_view ukey = src.user_key();
     if (!end_key.empty() && ukey >= end_key) {
       // This source is past the range; drop it (keys only grow).
       continue;
@@ -693,10 +702,10 @@ ScanResult Db::scan(sim::SimTime now, std::string_view start_key,
     if (!have_last || ukey != last_user_key) {
       last_user_key.assign(ukey);
       have_last = true;
-      if (src.entry().type == EntryType::kPut) {
+      if (src.type() == EntryType::kPut) {
         ++out.entries;
-        stats_.bytes_read += ukey.size() + src.entry().value.size();
-        if (!visit(ukey, src.entry().value)) stop = true;
+        stats_.bytes_read += ukey.size() + src.value().size();
+        if (!visit(ukey, src.value())) stop = true;
       }
     }
     if (stop) break;
@@ -719,16 +728,16 @@ ScanResult Db::scan(sim::SimTime now, std::string_view start_key,
 Db::VerifyReport Db::verify_integrity(sim::SimTime now) {
   VerifyReport report;
   sim::SimTime t = now;
-  const InternalKeyLess less;
 
   auto check_sst = [&](SstReader& sst, const char* level) {
-    std::string prev_ikey;
+    std::string prev_key;
+    std::uint64_t prev_seq = 0;
     bool have_prev = false;
     std::uint64_t count = 0;
     std::uint64_t max_seq = 0;
-    FsResult sr = sst.scan(t, [&](std::string_view key, const MemEntry& e) {
-      const std::string ikey = MemTable::internal_key(key, e.sequence);
-      if (have_prev && !less(prev_ikey, ikey)) {
+    FsResult sr = sst.scan(t, [&](const BlockEntry& e) {
+      const std::string_view key = e.user_key;
+      if (have_prev && !internal_less(prev_key, prev_seq, key, e.sequence)) {
         report.problems.push_back(std::string(level) + " " + sst.path() +
                                   ": entries out of order near key '" +
                                   std::string(key) + "'");
@@ -738,7 +747,8 @@ Db::VerifyReport Db::verify_integrity(sim::SimTime now) {
                                   ": key '" + std::string(key) +
                                   "' outside [smallest, largest]");
       }
-      prev_ikey = ikey;
+      prev_key.assign(key);
+      prev_seq = e.sequence;
       have_prev = true;
       ++count;
       max_seq = std::max(max_seq, e.sequence);

@@ -96,6 +96,8 @@ class Db {
   /// grace period.
   DbResult put(sim::SimTime now, std::string_view key, std::string_view value);
   DbResult del(sim::SimTime now, std::string_view key);
+  /// On a warm store, allocates at most the value it returns: SST data
+  /// blocks are decoded in place (tests/storage/kvdb_alloc_test.cc).
   DbGetResult get(sim::SimTime now, std::string_view key);
 
   /// Ordered range scan over [start_key, end_key): merges every level,

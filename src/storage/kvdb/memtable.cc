@@ -4,14 +4,6 @@
 
 namespace deepnote::storage::kvdb {
 
-bool InternalKeyLess::operator()(std::string_view a,
-                                 std::string_view b) const {
-  const std::string_view ua = MemTable::user_key_of(a);
-  const std::string_view ub = MemTable::user_key_of(b);
-  if (ua != ub) return ua < ub;
-  return MemTable::sequence_of(a) > MemTable::sequence_of(b);
-}
-
 std::string MemTable::internal_key(std::string_view user_key,
                                    std::uint64_t sequence) {
   // user_key + big-endian(~sequence): ascending key order, newest (highest
@@ -36,19 +28,6 @@ std::string_view MemTable::build_key(std::string_view user_key,
     key_scratch_.push_back(static_cast<char>((inv >> shift) & 0xff));
   }
   return key_scratch_;
-}
-
-std::string_view MemTable::user_key_of(std::string_view internal_key) {
-  return internal_key.substr(0, internal_key.size() - 8);
-}
-
-std::uint64_t MemTable::sequence_of(std::string_view internal_key) {
-  std::uint64_t inv = 0;
-  const auto* p = internal_key.data() + internal_key.size() - 8;
-  for (int i = 0; i < 8; ++i) {
-    inv = (inv << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return ~inv;
 }
 
 void MemTable::put(std::string_view key, std::string_view value,
@@ -88,17 +67,6 @@ void MemTable::for_each(
     fn(user_key_of(ikey), e);
   });
 }
-
-void MemTable::for_each_from(
-    std::string_view from,
-    const std::function<bool(std::string_view, const MemEntry&)>& fn) const {
-  // Seek to (from, max sequence): the first internal key of `from`.
-  const std::string_view seek = build_key(from, ~std::uint64_t{0});
-  list_.for_each_from(seek, [&](std::string_view ikey, const MemEntry& e) {
-    return fn(user_key_of(ikey), e);
-  });
-}
-
 
 MemTable::Cursor MemTable::cursor_at(std::string_view user_key_from) const {
   return Cursor{

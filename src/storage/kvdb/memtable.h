@@ -37,8 +37,16 @@ enum class LookupState {
 /// keys that are prefixes of one another (the binary ~sequence suffix
 /// compares higher than printable key bytes).
 struct InternalKeyLess {
-  bool operator()(std::string_view a, std::string_view b) const;
+  inline bool operator()(std::string_view a, std::string_view b) const;
 };
+
+/// The same order on decoded parts, for entries that carry their user key
+/// and sequence separately (SST blocks, merge inputs).
+inline bool internal_less(std::string_view user_a, std::uint64_t seq_a,
+                          std::string_view user_b, std::uint64_t seq_b) {
+  const int cmp = user_a.compare(user_b);
+  return cmp != 0 ? cmp < 0 : seq_a > seq_b;
+}
 
 class MemTable {
  public:
@@ -59,12 +67,6 @@ class MemTable {
   /// first within a key).
   void for_each(const std::function<void(std::string_view user_key,
                                          const MemEntry&)>& fn) const;
-
-  /// Iterate from the first entry with user key >= `from`; the visitor
-  /// returns false to stop.
-  void for_each_from(std::string_view from,
-                     const std::function<bool(std::string_view user_key,
-                                              const MemEntry&)>& fn) const;
 
   /// Streaming cursor in internal-key order.
   class Cursor {
@@ -87,8 +89,17 @@ class MemTable {
   /// Internal-key encoding helpers (shared with the SST writer).
   static std::string internal_key(std::string_view user_key,
                                   std::uint64_t sequence);
-  static std::string_view user_key_of(std::string_view internal_key);
-  static std::uint64_t sequence_of(std::string_view internal_key);
+  static std::string_view user_key_of(std::string_view internal_key) {
+    return internal_key.substr(0, internal_key.size() - 8);
+  }
+  static std::uint64_t sequence_of(std::string_view internal_key) {
+    std::uint64_t inv = 0;
+    const auto* p = internal_key.data() + internal_key.size() - 8;
+    for (int i = 0; i < 8; ++i) {
+      inv = (inv << 8) | static_cast<unsigned char>(p[i]);
+    }
+    return ~inv;
+  }
 
  private:
   /// Encode (user_key, sequence) into the reusable scratch buffer and
@@ -102,5 +113,15 @@ class MemTable {
   std::uint64_t bytes_ = 0;
   mutable std::string key_scratch_;  // reused by build_key (const lookups too)
 };
+
+// Inline: it runs at every skiplist step.
+bool InternalKeyLess::operator()(std::string_view a,
+                                 std::string_view b) const {
+  // One three-way compare per step: a skiplist walk spends most of its
+  // comparisons on distinct user keys.
+  const int cmp = MemTable::user_key_of(a).compare(MemTable::user_key_of(b));
+  if (cmp != 0) return cmp < 0;
+  return MemTable::sequence_of(a) > MemTable::sequence_of(b);
+}
 
 }  // namespace deepnote::storage::kvdb

@@ -94,18 +94,6 @@ class SkipList {
     }
   }
 
-  /// In-order traversal starting at the first key >= `from`; the visitor
-  /// returns false to stop.
-  void for_each_from(
-      std::string_view from,
-      const std::function<bool(std::string_view, const Value&)>& fn)
-      const {
-    for (Node* x = find_greater_or_equal(from, nullptr); x != nullptr;
-         x = x->next[0]) {
-      if (!fn(x->key(), x->value)) return;
-    }
-  }
-
   /// Forward cursor over the list (O(log n) seek, O(1) next).
   class Cursor {
    public:

@@ -32,7 +32,7 @@ struct ByteCursor {
 
   template <typename T>
   T get() {
-    if (p + sizeof(T) > end) {
+    if (static_cast<std::size_t>(end - p) < sizeof(T)) {
       ok = false;
       return T{};
     }
@@ -41,18 +41,38 @@ struct ByteCursor {
     p += sizeof(T);
     return v;
   }
-  std::string get_string(std::size_t len) {
-    if (p + len > end) {
+  std::string_view get_view(std::size_t len) {
+    if (static_cast<std::size_t>(end - p) < len) {
       ok = false;
       return {};
     }
-    std::string s(reinterpret_cast<const char*>(p), len);
+    std::string_view s(reinterpret_cast<const char*>(p), len);
     p += len;
     return s;
+  }
+  std::string get_string(std::size_t len) {
+    return std::string(get_view(len));
   }
 };
 
 }  // namespace
+
+bool BlockDecoder::next(BlockEntry* out) {
+  if (malformed_ || p_ == end_) return false;
+  ByteCursor c{p_, end_};
+  const std::uint16_t klen = c.get<std::uint16_t>();
+  const std::uint32_t vlen = c.get<std::uint32_t>();
+  out->sequence = c.get<std::uint64_t>();
+  out->type = static_cast<EntryType>(c.get<std::uint8_t>());
+  out->user_key = c.get_view(klen);
+  out->value = c.get_view(vlen);
+  if (!c.ok) {
+    malformed_ = true;
+    return false;
+  }
+  p_ = c.p;
+  return true;
+}
 
 // ===========================================================================
 // Builder
@@ -285,6 +305,19 @@ SstReader::OpenResult SstReader::open(ExtFs& fs, sim::SimTime now,
   return out;
 }
 
+Errno SstReader::read_block(sim::SimTime& t, const IndexEntry& ie,
+                            std::vector<std::byte>& buf,
+                            std::span<const std::byte>* block) {
+  if (buf.size() < ie.size) buf.resize(ie.size);
+  const std::span<std::byte> dst(buf.data(), ie.size);
+  const FsIoResult io = fs_.read(t, inode_, ie.offset, dst);
+  t = io.done;
+  if (!io.ok()) return io.err;
+  if (io.bytes != ie.size) return Errno::kEINVAL;
+  *block = dst;
+  return Errno::kOk;
+}
+
 SstGetResult SstReader::get(sim::SimTime now, std::string_view user_key) {
   SstGetResult r;
   r.done = now;
@@ -297,144 +330,67 @@ SstGetResult SstReader::get(sim::SimTime now, std::string_view user_key) {
       [](const IndexEntry& e, std::string_view k) { return e.last_key < k; });
   if (it == index_.end()) return r;
 
-  std::vector<std::byte> block(it->size);
-  FsIoResult io = fs_.read(now, inode_, it->offset, block);
-  r.done = io.done;
-  if (!io.ok() || io.bytes != it->size) {
-    r.err = io.ok() ? Errno::kEINVAL : io.err;
-    return r;
-  }
-  ByteCursor c{block.data(), block.data() + block.size()};
-  while (c.ok && c.p < c.end) {
-    const std::uint16_t klen = c.get<std::uint16_t>();
-    const std::uint32_t vlen = c.get<std::uint32_t>();
-    const std::uint64_t seq = c.get<std::uint64_t>();
-    const auto type = static_cast<EntryType>(c.get<std::uint8_t>());
-    const std::string key = c.get_string(klen);
-    const std::string value = c.get_string(vlen);
-    (void)seq;
-    if (!c.ok) break;
-    if (key == user_key) {
+  std::span<const std::byte> block;
+  r.err = read_block(r.done, *it, block_buf_, &block);
+  if (r.err != Errno::kOk) return r;
+  BlockDecoder decoder(block);
+  BlockEntry e;
+  while (decoder.next(&e)) {
+    const int cmp = e.user_key.compare(user_key);
+    if (cmp < 0) continue;
+    if (cmp == 0) {
       // Entries for a user key are newest-first: the first hit wins.
-      if (type == EntryType::kDelete) {
+      if (e.type == EntryType::kDelete) {
         r.state = LookupState::kDeleted;
       } else {
         r.state = LookupState::kFound;
-        r.value = value;
+        r.value.assign(e.value);
       }
-      return r;
     }
-    if (key > user_key) break;
+    return r;  // the newest version, or already past the key
   }
+  if (decoder.malformed()) r.err = Errno::kEINVAL;
   return r;
 }
 
-FsResult SstReader::scan(
-    sim::SimTime now,
-    const std::function<void(std::string_view, const MemEntry&)>& fn) {
+FsResult SstReader::scan(sim::SimTime now,
+                         const std::function<void(const BlockEntry&)>& fn) {
   sim::SimTime t = now;
+  std::vector<std::byte> buf;
   for (const auto& ie : index_) {
-    std::vector<std::byte> block(ie.size);
-    FsIoResult io = fs_.read(t, inode_, ie.offset, block);
-    t = io.done;
-    if (!io.ok() || io.bytes != ie.size) {
-      return FsResult{io.ok() ? Errno::kEINVAL : io.err, t};
-    }
-    ByteCursor c{block.data(), block.data() + block.size()};
-    while (c.ok && c.p < c.end) {
-      const std::uint16_t klen = c.get<std::uint16_t>();
-      const std::uint32_t vlen = c.get<std::uint32_t>();
-      MemEntry e;
-      e.sequence = c.get<std::uint64_t>();
-      e.type = static_cast<EntryType>(c.get<std::uint8_t>());
-      const std::string key = c.get_string(klen);
-      e.value = c.get_string(vlen);
-      if (!c.ok) return FsResult{Errno::kEINVAL, t};
-      fn(key, e);
-    }
+    std::span<const std::byte> block;
+    const Errno err = read_block(t, ie, buf, &block);
+    if (err != Errno::kOk) return FsResult{err, t};
+    BlockDecoder decoder(block);
+    BlockEntry e;
+    while (decoder.next(&e)) fn(e);
+    if (decoder.malformed()) return FsResult{Errno::kEINVAL, t};
   }
   return FsResult{Errno::kOk, t};
 }
-
-
-FsResult SstReader::scan_from(
-    sim::SimTime now, std::string_view start,
-    const std::function<bool(std::string_view, const MemEntry&)>& fn) {
-  sim::SimTime t = now;
-  // First block whose last key >= start.
-  auto it = std::lower_bound(
-      index_.begin(), index_.end(), start,
-      [](const IndexEntry& e, std::string_view k) { return e.last_key < k; });
-  for (; it != index_.end(); ++it) {
-    std::vector<std::byte> block(it->size);
-    FsIoResult io = fs_.read(t, inode_, it->offset, block);
-    t = io.done;
-    if (!io.ok() || io.bytes != it->size) {
-      return FsResult{io.ok() ? Errno::kEINVAL : io.err, t};
-    }
-    ByteCursor c{block.data(), block.data() + block.size()};
-    while (c.ok && c.p < c.end) {
-      const std::uint16_t klen = c.get<std::uint16_t>();
-      const std::uint32_t vlen = c.get<std::uint32_t>();
-      MemEntry e;
-      e.sequence = c.get<std::uint64_t>();
-      e.type = static_cast<EntryType>(c.get<std::uint8_t>());
-      const std::string key = c.get_string(klen);
-      e.value = c.get_string(vlen);
-      if (!c.ok) return FsResult{Errno::kEINVAL, t};
-      if (key < start) continue;
-      if (!fn(key, e)) return FsResult{Errno::kOk, t};
-    }
-  }
-  return FsResult{Errno::kOk, t};
-}
-
-
-/// Decodes a data block into (internal key, entry) pairs.
-static void Cursor_decode(
-    const std::vector<std::byte>& block,
-    std::vector<std::pair<std::string, MemEntry>>& out) {
-  ByteCursor c{block.data(), block.data() + block.size()};
-  while (c.ok && c.p < c.end) {
-    const std::uint16_t klen = c.get<std::uint16_t>();
-    const std::uint32_t vlen = c.get<std::uint32_t>();
-    MemEntry e;
-    e.sequence = c.get<std::uint64_t>();
-    e.type = static_cast<EntryType>(c.get<std::uint8_t>());
-    const std::string key = c.get_string(klen);
-    e.value = c.get_string(vlen);
-    if (!c.ok) return;
-    out.emplace_back(MemTable::internal_key(key, e.sequence), std::move(e));
-  }
-}
-
 
 Errno SstReader::Cursor::load_next_block(sim::SimTime& t) {
-  entries_.clear();
-  pos_ = 0;
+  valid_ = false;
   if (!sst_ || block_idx_ >= sst_->index_.size()) return Errno::kOk;
-  const auto& ie = sst_->index_[block_idx_++];
-  std::vector<std::byte> block(ie.size);
-  FsIoResult io = sst_->fs_.read(t, sst_->inode_, ie.offset, block);
-  t = io.done;
-  if (!io.ok() || io.bytes != ie.size) {
-    return io.ok() ? Errno::kEINVAL : io.err;
-  }
-  Cursor_decode(block, entries_);
-  return entries_.empty() ? Errno::kEINVAL : Errno::kOk;
+  std::span<const std::byte> block;
+  const Errno err =
+      sst_->read_block(t, sst_->index_[block_idx_++], buf_, &block);
+  if (err != Errno::kOk) return err;
+  decoder_ = BlockDecoder(block);
+  // A block holds at least one entry.
+  valid_ = decoder_.next(&entry_);
+  return valid_ ? Errno::kOk : Errno::kEINVAL;
 }
 
 Errno SstReader::Cursor::next(sim::SimTime& t) {
-  if (pos_ + 1 < entries_.size()) {
-    ++pos_;
-    return Errno::kOk;
-  }
+  if (decoder_.next(&entry_)) return Errno::kOk;
+  valid_ = false;
+  if (decoder_.malformed()) return Errno::kEINVAL;
   return load_next_block(t);
 }
 
 SstReader::Cursor SstReader::seek(sim::SimTime& t, std::string_view start,
                                   Errno* err) {
-  if (err) *err = Errno::kOk;
   Cursor c;
   c.sst_ = this;
   // First block whose last key >= start.
@@ -442,22 +398,13 @@ SstReader::Cursor SstReader::seek(sim::SimTime& t, std::string_view start,
       index_.begin(), index_.end(), start,
       [](const IndexEntry& e, std::string_view k) { return e.last_key < k; });
   c.block_idx_ = static_cast<std::size_t>(it - index_.begin());
-  const Errno e = c.load_next_block(t);
-  if (e != Errno::kOk) {
-    if (err) *err = e;
-    c.entries_.clear();
-    return c;
+  Errno e = c.load_next_block(t);
+  // Skip entries below the start key within the block. Every error
+  // leaves the cursor invalid.
+  while (e == Errno::kOk && c.valid() && c.entry().user_key < start) {
+    e = c.next(t);
   }
-  // Skip entries below the start key within the block.
-  while (c.valid() && c.key().size() >= 8 &&
-         MemTable::user_key_of(c.key()) < start) {
-    const Errno e2 = c.next(t);
-    if (e2 != Errno::kOk) {
-      if (err) *err = e2;
-      c.entries_.clear();
-      return c;
-    }
-  }
+  if (err) *err = e;
   return c;
 }
 

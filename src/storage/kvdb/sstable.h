@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -73,6 +74,35 @@ class SstBuilder {
   std::string last_user_key_seen_;  // dedup keys for the bloom filter
 };
 
+/// One data-block entry decoded in place: `user_key` and `value` view the
+/// block buffer and stay valid only as long as that buffer does.
+struct BlockEntry {
+  std::string_view user_key;
+  std::string_view value;
+  std::uint64_t sequence = 0;
+  EntryType type = EntryType::kPut;
+};
+
+/// Bounds-checked walk over one data block's entries, without copying
+/// them. Every reader of a data block goes through it.
+class BlockDecoder {
+ public:
+  BlockDecoder() = default;
+  explicit BlockDecoder(std::span<const std::byte> block)
+      : p_(block.data()), end_(block.data() + block.size()) {}
+
+  /// Decodes the next entry into `*out`. Returns false at the end of the
+  /// block, and also on an entry whose header or bytes run past the end;
+  /// malformed() tells the two apart.
+  bool next(BlockEntry* out);
+  bool malformed() const { return malformed_; }
+
+ private:
+  const std::byte* p_ = nullptr;
+  const std::byte* end_ = nullptr;
+  bool malformed_ = false;
+};
+
 struct SstGetResult {
   Errno err = Errno::kOk;
   sim::SimTime done = sim::SimTime::zero();
@@ -81,7 +111,8 @@ struct SstGetResult {
 };
 
 /// Reader: index + bloom are loaded once at open (table cache); point
-/// lookups read one data block from the filesystem.
+/// lookups read one data block from the filesystem into a buffer the
+/// reader keeps, and copy out only the matching value.
 class SstReader {
  public:
   struct OpenResult {
@@ -94,38 +125,41 @@ class SstReader {
 
   SstGetResult get(sim::SimTime now, std::string_view user_key);
 
-  /// Stream every entry in order (used by compaction). Reads the whole
-  /// data area; returns err/time.
+  /// Stream every entry in order (used by compaction and recovery).
+  /// Reads the whole data area; returns err/time, kEINVAL on a malformed
+  /// block. The entry's views die with its block: copy what you keep.
   FsResult scan(sim::SimTime now,
-                const std::function<void(std::string_view user_key,
-                                         const MemEntry&)>& fn);
-
-  /// Stream entries with user key >= start, using the block index to
-  /// skip ahead; the visitor returns false to stop (e.g. past the range
-  /// end). Only touched blocks are read.
-  FsResult scan_from(sim::SimTime now, std::string_view start,
-                     const std::function<bool(std::string_view user_key,
-                                              const MemEntry&)>& fn);
+                const std::function<void(const BlockEntry&)>& fn);
 
   /// Streaming cursor over the file's entries in internal-key order.
-  /// Blocks are read lazily through the filesystem; the shared clock `t`
-  /// advances with each block read.
+  /// Blocks are read lazily through the filesystem into a buffer the
+  /// cursor owns; the shared clock `t` advances with each block read.
+  /// Move-only: entry() views that buffer, which a move carries along
+  /// and a copy would not.
   class Cursor {
    public:
     Cursor() = default;
-    bool valid() const { return pos_ < entries_.size(); }
-    const std::string& key() const { return entries_[pos_].first; }
-    const MemEntry& entry() const { return entries_[pos_].second; }
+    Cursor(Cursor&&) = default;
+    Cursor& operator=(Cursor&&) = default;
+    Cursor(const Cursor&) = delete;
+    Cursor& operator=(const Cursor&) = delete;
+
+    bool valid() const { return valid_; }
+    /// The current entry; valid until the next call to next().
+    const BlockEntry& entry() const { return entry_; }
     /// Advance; loads the next block when the current one is exhausted.
-    /// Returns kEIO on a device error (cursor becomes invalid).
+    /// Returns the device error, or kEINVAL on a malformed block (the
+    /// cursor becomes invalid either way).
     Errno next(sim::SimTime& t);
 
    private:
     friend class SstReader;
     SstReader* sst_ = nullptr;
     std::size_t block_idx_ = 0;  ///< next index entry to load
-    std::vector<std::pair<std::string, MemEntry>> entries_;
-    std::size_t pos_ = 0;
+    std::vector<std::byte> buf_;
+    BlockDecoder decoder_;
+    BlockEntry entry_;
+    bool valid_ = false;
 
     Errno load_next_block(sim::SimTime& t);
   };
@@ -141,15 +175,23 @@ class SstReader {
  private:
   SstReader(ExtFs& fs, std::string path, std::uint32_t inode);
 
-  ExtFs& fs_;
-  std::string path_;
-  std::uint32_t inode_;
   struct IndexEntry {
     std::uint64_t offset;
     std::uint32_t size;
     std::string last_key;
   };
+  /// Reads data block `ie` into `buf`, growing it as needed, and points
+  /// `*block` at exactly the block's bytes. Advances `t`; a short read is
+  /// kEINVAL.
+  Errno read_block(sim::SimTime& t, const IndexEntry& ie,
+                   std::vector<std::byte>& buf,
+                   std::span<const std::byte>* block);
+
+  ExtFs& fs_;
+  std::string path_;
+  std::uint32_t inode_;
   std::vector<IndexEntry> index_;
+  std::vector<std::byte> block_buf_;  ///< get()'s reused block buffer
   std::optional<BloomFilter> bloom_;
   std::string smallest_;
   std::string largest_;

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "sim/rng.h"
 #include "storage/kvdb/memtable.h"
@@ -191,6 +192,41 @@ TEST(DbTest, GetFromFlushedSst) {
   EXPECT_TRUE(found);
   EXPECT_EQ(fx.get("key1999", &found), "value1999");
   EXPECT_TRUE(found);
+}
+
+// A malformed data block in the newest table must fail the get. Reading
+// it as "missing" would fall through to the older table and serve the
+// value the newer one shadows.
+TEST(DbTest, MalformedNewerTableFailsGetInsteadOfServingOlderValue) {
+  DbFixture fx;
+  for (const char* value : {"old", "new"}) {
+    fx.put("k", value);
+    auto fr = fx.db->flush(fx.t);
+    ASSERT_TRUE(fr.ok());
+    fx.t = fr.done;
+  }
+  ASSERT_EQ(fx.db->l0_count(), 2u);
+  auto rd = fx.fs->readdir(fx.t, "/db");
+  ASSERT_TRUE(rd.ok());
+  std::string newest;  // zero-padded file numbers sort by name
+  for (const auto& e : rd.entries) {
+    if (e.name.find(".l0") != std::string::npos && e.name > newest) {
+      newest = e.name;
+    }
+  }
+  auto lr = fx.fs->lookup(fx.t, "/db/" + newest);
+  ASSERT_TRUE(lr.ok());
+  // The table's only entry starts the file with its u16 key length:
+  // claim a key far longer than the block.
+  const std::vector<std::byte> huge_klen{std::byte{0xff}, std::byte{0xff}};
+  auto wr = fx.fs->write(lr.done, lr.inode, 0, huge_klen);
+  ASSERT_TRUE(wr.ok());
+  fx.t = wr.done;
+
+  const DbGetResult r = fx.db->get(fx.t, "k");
+  EXPECT_EQ(r.err, Errno::kEINVAL);
+  EXPECT_FALSE(r.found);
+  EXPECT_EQ(r.value, "");
 }
 
 TEST(DbTest, CompactionMergesLevels) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
+#include <optional>
 
 #include "sim/rng.h"
 #include "storage/kvdb/bloom.h"
@@ -151,15 +153,118 @@ TEST(SstTest, ScanVisitsAllEntriesInOrder) {
   ASSERT_TRUE(open.ok());
   int count = 0;
   std::string prev;
-  auto r = open.reader->scan(fx.t, [&](std::string_view key,
-                                       const MemEntry& e) {
-    EXPECT_GE(std::string(key), prev);
+  auto r = open.reader->scan(fx.t, [&](const BlockEntry& e) {
+    EXPECT_GE(std::string(e.user_key), prev);
     EXPECT_EQ(e.value, std::to_string(count));
-    prev = std::string(key);
+    prev = std::string(e.user_key);
     ++count;
   });
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(count, 1000);
+}
+
+// Several versions per user key (newest first), tombstones among them,
+// and runs of versions that straddle data-block boundaries. Every key —
+// the first and last key of each block included — must read back as its
+// newest version, and keys between stored ones must miss.
+TEST(SstTest, GetReturnsNewestVersionAcrossBlockBoundaries) {
+  for (const std::size_t value_bytes : {8u, 100u, 700u}) {
+    SCOPED_TRACE(value_bytes);
+    SstFixture fx;
+    sim::Rng rng(value_bytes);
+    SstBuilder builder(4000);
+    // Newest version per key: a value, or nullopt for a tombstone.
+    std::map<std::string, std::optional<std::string>> model;
+    // Mirrors SstBuilder's block cut (close once the block reaches
+    // kTargetDataBlockBytes) to know each block's first and last key.
+    std::vector<std::pair<std::string, std::string>> blocks;
+    std::size_t block_bytes = 0;
+    std::uint64_t seq = 1u << 20;
+    for (int i = 0; i < 1500; ++i) {
+      char key[32];
+      std::snprintf(key, sizeof(key), "key%06d", 2 * i);
+      const int versions = 1 + static_cast<int>(rng.uniform_int(0, 3));
+      for (int v = 0; v < versions; ++v) {
+        // Each version's value names its key and its age.
+        MemEntry e = put_entry(
+            key + std::string(value_bytes, static_cast<char>('a' + v)),
+            --seq);
+        if (rng.uniform_int(0, 3) == 0) {
+          e.type = EntryType::kDelete;
+          e.value.clear();
+        }
+        if (v == 0) {
+          model[key] = e.type == EntryType::kDelete
+                           ? std::nullopt
+                           : std::optional<std::string>(e.value);
+        }
+        builder.add(key, e);
+        if (block_bytes == 0) blocks.emplace_back(key, key);
+        blocks.back().second = key;
+        block_bytes += 15 + std::strlen(key) + e.value.size();
+        if (block_bytes >= kTargetDataBlockBytes) block_bytes = 0;
+      }
+    }
+    ASSERT_TRUE(builder.write_to(*fx.fs, fx.t, "/versions.sst").ok());
+    auto open = SstReader::open(*fx.fs, fx.t, "/versions.sst");
+    ASSERT_TRUE(open.ok());
+    SstReader& sst = *open.reader;
+
+    auto expect_newest = [&](const std::string& key) {
+      SCOPED_TRACE(key);
+      const SstGetResult g = sst.get(fx.t, key);
+      ASSERT_EQ(g.err, Errno::kOk);
+      const auto it = model.find(key);
+      if (it == model.end()) {
+        EXPECT_EQ(g.state, LookupState::kMissing);
+      } else if (!it->second) {
+        EXPECT_EQ(g.state, LookupState::kDeleted);
+      } else {
+        EXPECT_EQ(g.state, LookupState::kFound);
+        EXPECT_EQ(g.value, *it->second);
+      }
+    };
+    int straddles = 0;
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      expect_newest(blocks[b].first);
+      expect_newest(blocks[b].second);
+      if (b > 0 && blocks[b - 1].second == blocks[b].first) ++straddles;
+    }
+    EXPECT_GT(blocks.size(), 1u);
+    EXPECT_GT(straddles, 0);
+    for (const auto& [key, newest] : model) {
+      expect_newest(key);
+      expect_newest(key + "+");  // sorts between two stored keys
+    }
+  }
+}
+
+// A data block whose first entry claims a key longer than the block.
+// get() must report the damage as scan() does, not answer "missing" and
+// send the caller on to older tables.
+TEST(SstTest, GetReportsMalformedBlockLikeScan) {
+  SstFixture fx;
+  SstBuilder builder(100);
+  for (int i = 0; i < 100; ++i) {
+    builder.add("key" + std::to_string(100 + i),
+                put_entry("val" + std::to_string(i), 7));
+  }
+  ASSERT_TRUE(builder.write_to(*fx.fs, fx.t, "/bad.sst").ok());
+  // The first entry starts the file; its u16 key length comes first.
+  auto lr = fx.fs->lookup(fx.t, "/bad.sst");
+  ASSERT_TRUE(lr.ok());
+  const std::vector<std::byte> huge_klen{std::byte{0xff}, std::byte{0xff}};
+  auto wr = fx.fs->write(lr.done, lr.inode, 0, huge_klen);
+  ASSERT_TRUE(wr.ok());
+  fx.t = wr.done;
+
+  auto open = SstReader::open(*fx.fs, fx.t, "/bad.sst");
+  ASSERT_TRUE(open.ok());  // footer, index and filter are intact
+  const SstGetResult g = open.reader->get(open.done, "key100");
+  EXPECT_EQ(g.err, Errno::kEINVAL);
+  EXPECT_EQ(g.state, LookupState::kMissing);
+  const FsResult sc = open.reader->scan(open.done, [](const BlockEntry&) {});
+  EXPECT_EQ(sc.err, Errno::kEINVAL);
 }
 
 TEST(SstTest, OpenRejectsGarbage) {
