@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "acoustics/absorption.h"
-#include "cluster/balancer.h"
 #include "cluster/engine.h"
 #include "cluster/node.h"
 #include "core/attack.h"
@@ -507,7 +506,7 @@ BENCHMARK(BM_FaultExhaustiveExploration)->Arg(1)->Arg(4);
 // cluster
 
 // Pure replica-set computation: hash a key to R nodes under each
-// placement policy. This sits on every request the balancer serves.
+// placement policy. This sits on every request the engine routes.
 static void BM_PlacementReplicas(benchmark::State& state) {
   const cluster::ClusterTopology topo;
   const cluster::PlacementMap placement(
@@ -525,30 +524,6 @@ BENCHMARK(BM_PlacementReplicas)
     ->Arg(static_cast<int>(cluster::PlacementPolicy::kSamePod))
     ->Arg(static_cast<int>(cluster::PlacementPolicy::kCrossPod))
     ->Arg(static_cast<int>(cluster::PlacementPolicy::kRackAware));
-
-// Host cost of one replicated read through the whole serving path:
-// placement, health ranking, node I/O, detector update, control-loop
-// reaction. MemDisk members isolate the balancer's own overhead from
-// the HDD model. Items are requests.
-static void BM_ClusterBalancerRead(benchmark::State& state) {
-  const cluster::ClusterTopology topo{.pods = 3, .bays_per_pod = 1};
-  storage::MemDisk d0(16384), d1(16384), d2(16384);
-  cluster::ClusterNode n0(0, 0, 0, d0), n1(1, 1, 0, d1), n2(2, 2, 0, d2);
-  cluster::BalancerConfig config;
-  config.objects = 1000;
-  cluster::Balancer balancer(topo, {&n0, &n1, &n2}, config);
-  std::vector<std::byte> buf(static_cast<std::size_t>(config.object_sectors) *
-                             storage::kBlockSectorSize);
-  sim::SimTime t = sim::SimTime::zero();
-  std::uint64_t key = 0;
-  for (auto _ : state) {
-    const auto r = balancer.read(t, key++ % config.objects, buf);
-    benchmark::DoNotOptimize(r.ok);
-    t = r.complete;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ClusterBalancerRead);
 
 // The tentpole end-to-end number: 1000 nodes (200 pods x 5 bays),
 // 3-way cross-pod replication, a 1M-key Zipf read/write mix through the

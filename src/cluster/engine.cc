@@ -5,6 +5,15 @@
 
 namespace deepnote::cluster {
 
+const char* health_name(NodeHealth health) {
+  switch (health) {
+    case NodeHealth::kHealthy: return "healthy";
+    case NodeHealth::kDegraded: return "degraded";
+    case NodeHealth::kDrained: return "drained";
+  }
+  return "?";
+}
+
 namespace {
 
 std::uint8_t health_rank(NodeHealth health) {
@@ -31,7 +40,10 @@ ShardedClusterEngine::ShardedClusterEngine(
                         ? config.balancer.write_quorum
                         : config.balancer.replication / 2 + 1),
       leg_stride_(std::max<std::size_t>(config.balancer.replication, 2)),
-      zipf_(std::move(config.zipf)) {
+      zipf_(std::move(config.zipf)),
+      failover_budget_({.enabled = true,
+                        .earn_per_request = config.balancer.retry_budget_ratio,
+                        .cap = config.balancer.retry_budget_cap}) {
   if (devices_.size() != topology_.nodes()) {
     throw std::invalid_argument("engine: device list does not match topology");
   }
@@ -147,17 +159,6 @@ sim::SimTime ShardedClusterEngine::deadline_of(std::uint32_t r) const {
   return req_arrival_[r] + config_.balancer.request_deadline;
 }
 
-bool ShardedClusterEngine::spend_retry_token() {
-  if (retry_tokens_ < 1.0) return false;
-  retry_tokens_ -= 1.0;
-  return true;
-}
-
-void ShardedClusterEngine::refill_retry_tokens() {
-  retry_tokens_ = std::min(config_.balancer.retry_budget_cap,
-                           retry_tokens_ + config_.balancer.retry_budget_ratio);
-}
-
 EngineReport ShardedClusterEngine::run(sim::SimTime start, SloTracker& slo,
                                        std::vector<TimelineAction> actions) {
   start_run(start, slo, std::move(actions));
@@ -176,7 +177,7 @@ void ShardedClusterEngine::start_run(sim::SimTime start, SloTracker& slo,
   rng_ = sim::Rng(config_.traffic.seed);
   next_arrival_ =
       start + sim::Duration::from_seconds(rng_.exponential(mean_gap_s_));
-  retry_tokens_ = config_.balancer.retry_budget_cap;
+  failover_budget_.reset();
   stats_ = {};
   traffic_ = {};
   max_node_depth_ = 0;
@@ -350,7 +351,7 @@ void ShardedClusterEngine::run_waves(std::size_t first_req) {
 
 EngineReport ShardedClusterEngine::finish() {
   // Trailing actions (e.g. attack off after the last epoch), same
-  // frontier rule as the serial runner.
+  // frontier rule as the epoch barriers.
   while (next_action_ < actions_.size() && actions_[next_action_].at < end_) {
     TimelineAction& action = actions_[next_action_++];
     if (action.fn) action.fn(sim::max(action.at, frontier_));
@@ -527,7 +528,7 @@ std::uint32_t ShardedClusterEngine::push_request(sim::SimTime arrival,
 
   ++traffic_.requests;
   placement_.replicas(key, replica_scratch_);
-  refill_retry_tokens();
+  failover_budget_.earn();
   if (is_read) {
     ++traffic_.reads;
     route_read(r);
@@ -541,8 +542,8 @@ std::uint32_t ShardedClusterEngine::push_request(sim::SimTime arrival,
 void ShardedClusterEngine::route_read(std::uint32_t r) {
   ++stats_.reads;
   // Stable three-bucket ordering against the epoch-start health
-  // snapshot (healthy, degraded, drained; fail-static like the serial
-  // balancer — a fully-drained set is still attempted).
+  // snapshot (healthy, degraded, drained; fail-static — a fully
+  // drained set is still attempted).
   for (std::size_t i = 1; i < replica_scratch_.size(); ++i) {
     const NodeId id = replica_scratch_[i];
     const std::uint8_t rank = rank_snap_[id];
@@ -598,7 +599,7 @@ void ShardedClusterEngine::route_write(std::uint32_t r) {
     if (health_[id] != NodeHealth::kDrained) ++in_rotation;
   }
   // Skip drained replicas only while the in-rotation members can still
-  // make quorum (fail-static on the write path, same as the balancer).
+  // make quorum (fail-static on the write path, as for reads).
   const bool skip_drained = in_rotation >= write_quorum_;
 
   const sim::SimTime arrival = req_arrival_[r];
@@ -779,7 +780,7 @@ void ShardedClusterEngine::execute_nodes(std::size_t shard_lo,
                            read_buf.first(object_bytes));
         } else {
           // Probe the raw device without feeding the detector: health
-          // checks must not skew serving stats (matches Balancer).
+          // checks must not skew serving stats.
           io = device.read(op.issue, 0, config_.balancer.probe_sectors,
                            read_buf.first(probe_bytes));
         }
@@ -918,7 +919,7 @@ void ShardedClusterEngine::try_emit_failover(std::uint32_t r) {
     fail_read(r);
     return;
   }
-  if (req_attempts_[r] > 0 && !spend_retry_token()) {
+  if (req_attempts_[r] > 0 && !failover_budget_.try_spend()) {
     ++stats_.retries_denied;
     fail_read(r);
     return;
@@ -1110,8 +1111,8 @@ void ShardedClusterEngine::barrier_control(sim::SimTime t1) {
       next_probe_[id] = probe_issue_[p] + config_.balancer.probe_interval;
     }
   }
-  // Detector -> health control action (the drain/degrade half of the
-  // Balancer's react()), applied once per barrier. Chaos flap windows
+  // Detector -> health control action (drain, or degrade when
+  // auto_drain is off), applied once per barrier. Chaos flap windows
   // override the detector verdict: kForceDown drains a healthy node as
   // if a (false-positive) alert fired, kSuppress swallows real alerts
   // (false negative) so traffic keeps hitting the sick node.

@@ -1,14 +1,31 @@
-// Sharded, epoch-synchronized cluster simulation engine.
+// Sharded, epoch-synchronized cluster simulation engine: the cluster's
+// one execution path. Every experiment grid, bench cell and example
+// that serves traffic over a Cluster runs on it.
 //
-// The PR5 composition (Balancer + TrafficRunner) walks one global serial
-// request stream and re-scans every node's probe timer per request —
-// fine at 15 nodes, interactive-hostile at 1000. This engine rebuilds
-// the cluster core for throughput:
+// The control loop is the mitigation half of the paper's attack:
+// per-node detectors (core/detector.h) feed an automatic drain and
+// re-route instead of a report line.
+//
+//  * Reads try replicas in health-ranked placement order (healthy,
+//    degraded, drained; a fully drained set is still tried — fail
+//    static), failing over on error while a token-bucket failover
+//    budget lasts: a storm of failing primaries must not double the
+//    fleet's load. A read whose primary runs hot (detector
+//    recent-latency EWMA above the hedge threshold) is hedged to the
+//    next replica; the first success wins.
+//  * Writes go to every in-rotation replica and succeed on a write
+//    quorum (majority by default). Drained replicas are skipped only
+//    while the rest can still make quorum.
+//  * A node whose detector alerts is drained and probed on an
+//    interval; a probe served fast readmits it.
+//
+// The engine is built for throughput at fleet scale:
 //
 //  * Time is sliced into fixed epochs. Cluster-wide control state
 //    (node health, routing ranks, hedge heat, attack on/off) is frozen
 //    at each epoch barrier, so everything inside an epoch is
-//    embarrassingly parallel per node.
+//    embarrassingly parallel per node. That is the engine's one
+//    fidelity trade: control reacts once per epoch, not per request.
 //  * Traffic is generated in per-epoch batches (one merged Poisson
 //    stream, alias-method Zipf keys) straight into reused flat arrays —
 //    the steady-state loop performs zero heap allocations.
@@ -24,12 +41,6 @@
 //    partition only decides which thread does the work, never what the
 //    work is.
 //
-// Control-loop semantics mirror the Balancer: health-ranked candidate
-// order, hedged reads, a token-bucket retry budget, majority write
-// quorum, detector-driven drain and probe/readmit — evaluated against
-// the epoch-start snapshot instead of per-request, which is the (small,
-// deliberate) fidelity trade that buys the parallelism.
-//
 // Serving mode (EngineConfig::serving.enabled) swaps the per-node op
 // execution from immediate dispatch to a NodeServer pipeline: every
 // non-probe leg goes through a bounded FIFO queue with admission
@@ -42,10 +53,9 @@
 // closed-loop: a fixed client population issues, waits, thinks, and
 // retries shed requests with backoff — offered load sags under
 // overload instead of silently dropping. Probes bypass the queue
-// (health checks must not skew serving stats, matching the Balancer).
-// Everything else — epoch barriers, wave structure, SoA arenas,
-// byte-identical results at any DEEPNOTE_JOBS — is unchanged, and the
-// immediate path remains the reference composition.
+// (health checks must not skew serving stats). Everything else — epoch
+// barriers, wave structure, SoA arenas, byte-identical results at any
+// DEEPNOTE_JOBS — is unchanged.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +63,8 @@
 #include <memory>
 #include <vector>
 
-#include "cluster/balancer.h"
+#include "cluster/node.h"
+#include "cluster/placement.h"
 #include "cluster/resilience/breaker.h"
 #include "cluster/resilience/brownout.h"
 #include "cluster/resilience/chaos.h"
@@ -64,6 +75,64 @@
 #include "sim/task_pool.h"
 
 namespace deepnote::cluster {
+
+enum class NodeHealth {
+  kHealthy,   ///< in rotation
+  kDegraded,  ///< detector alerted but routing keeps using the node
+  kDrained,   ///< out of rotation; probed for readmission
+};
+
+const char* health_name(NodeHealth health);
+
+/// The control loop's knobs: placement, write quorum, deadlines,
+/// hedging, the failover budget, drain/probe/readmit, object space.
+struct BalancerConfig {
+  PlacementPolicy policy = PlacementPolicy::kCrossPod;
+  std::size_t replication = 3;
+  /// Successful members required to ack a write; 0 = majority of
+  /// `replication`.
+  std::size_t write_quorum = 0;
+  /// A request that cannot complete by arrival + deadline fails.
+  sim::Duration request_deadline = sim::Duration::from_seconds(2.0);
+  /// Hedge a read when the chosen node's recent-latency EWMA is above
+  /// this (zero disables hedging).
+  sim::Duration hedge_threshold = sim::Duration::from_millis(40.0);
+  /// Failover retries spend from a token bucket refilled by this many
+  /// tokens per request, capped at `retry_budget_cap`. Sized so the
+  /// steady failover rate of one fully-lost pod (every read whose
+  /// primary lived there, 1/pods of traffic) fits inside the budget;
+  /// what it guards against is unbounded retry amplification.
+  double retry_budget_ratio = 0.5;
+  double retry_budget_cap = 32.0;
+  /// Drain a node when its detector alerts (false: mark degraded only).
+  bool auto_drain = true;
+  /// Drained nodes are probed at this interval...
+  sim::Duration probe_interval = sim::Duration::from_millis(250.0);
+  /// ...and readmitted when a probe read completes within this bound.
+  sim::Duration probe_ok_latency = sim::Duration::from_millis(50.0);
+  std::uint32_t probe_sectors = 8;
+  /// Object address space: key -> one of `objects` fixed-size objects.
+  std::uint64_t objects = 20000;
+  std::uint32_t object_sectors = 8;  ///< 4 KiB objects
+};
+
+/// Control-loop counters for one run.
+struct BalancerStats {
+  std::uint64_t reads = 0;
+  std::uint64_t writes = 0;
+  std::uint64_t read_failovers = 0;  ///< reads served by a non-first replica
+  std::uint64_t hedged_reads = 0;
+  std::uint64_t hedge_wins = 0;  ///< hedge completed before the primary
+  std::uint64_t retries_denied = 0;
+  std::uint64_t failed_reads = 0;
+  std::uint64_t failed_writes = 0;
+  std::uint64_t quorum_losses = 0;
+  std::uint64_t deadline_misses = 0;  ///< completed, but too late
+  std::uint64_t drains = 0;
+  std::uint64_t degrades = 0;
+  std::uint64_t readmits = 0;
+  std::uint64_t probes = 0;
+};
 
 /// Knobs for the serving op-execution mode. Defaults are off: the
 /// engine behaves exactly as the immediate-dispatch reference.
@@ -81,9 +150,9 @@ struct ServingModeConfig {
   /// per-client jitter, retry cap, and whether device failures and
   /// deadline misses retry too (sheds always do).
   resilience::BackoffConfig backoff;
-  /// Cluster-wide token-bucket retry budget (balancer-style): fresh
-  /// issues earn fractional tokens, every retry spends one; an empty
-  /// bucket denies the retry outright. Off by default.
+  /// Cluster-wide token-bucket budget for client retries: fresh issues
+  /// earn fractional tokens, every retry spends one; an empty bucket
+  /// denies the retry outright. Off by default.
   resilience::RetryBudgetConfig retry_budget;
 };
 
@@ -122,18 +191,18 @@ struct ServingReport {
 };
 
 struct EngineConfig {
-  /// Routing/quorum/probe knobs; shares the Balancer's config type so
-  /// experiments can run either engine from one description.
+  /// Routing, write quorum, failover budget and drain/probe knobs.
   BalancerConfig balancer;
-  /// Arrival rate, duration, read mix, keyspace. `clients` is ignored:
-  /// the engine generates one merged open-loop Poisson stream.
+  /// Arrival rate, duration, read mix, keyspace and seed. Open-loop
+  /// arrivals are one merged Poisson stream; closed-loop serving turns
+  /// the rate into a client think time instead.
   TrafficConfig traffic;
   /// Per-node health monitor.
   core::DetectorConfig detector = ClusterConfig::fleet_detector();
   /// Epoch length: the control loop's reaction quantum. Smaller epochs
-  /// track the serial balancer more closely; larger epochs amortize the
-  /// barrier. Timeline actions always land exactly on a boundary (epochs
-  /// are clamped to pending action times).
+  /// react sooner; larger epochs amortize the barrier. Timeline actions
+  /// always land exactly on a boundary (epochs are clamped to pending
+  /// action times).
   sim::Duration epoch = sim::Duration::from_millis(50.0);
   /// Worker threads for wave execution. 0 = $DEEPNOTE_JOBS / all cores,
   /// 1 = fully inline (no pool). Results are identical at any value.
@@ -186,7 +255,8 @@ class ShardedClusterEngine {
   /// One-shot: the full traffic duration starting at `start`, recording
   /// every request into `slo`. Actions must be sorted by `at`; they fire
   /// at epoch boundaries, no earlier than the latest completion already
-  /// handed out (same frontier rule as the serial runner).
+  /// handed out (a device never sees its environment change behind a
+  /// command it already finished).
   EngineReport run(sim::SimTime start, SloTracker& slo,
                    std::vector<TimelineAction> actions = {});
 
@@ -196,6 +266,8 @@ class ShardedClusterEngine {
   /// Simulate one epoch; false once the traffic duration is exhausted.
   bool step();
   EngineReport finish();
+  /// The last epoch barrier (the run's start before the first step).
+  sim::SimTime now() const { return cursor_; }
 
   NodeHealth health(NodeId id) const { return health_[id]; }
   const core::AttackDetector& detector(NodeId id) const {
@@ -255,8 +327,6 @@ class ShardedClusterEngine {
   static constexpr std::uint8_t kProbe = 2;
 
   sim::SimTime deadline_of(std::uint32_t r) const;
-  bool spend_retry_token();
-  void refill_retry_tokens();
   bool serving() const { return config_.serving.enabled; }
 
   void fire_actions_due(sim::SimTime now);
@@ -395,7 +465,8 @@ class ShardedClusterEngine {
   sim::SimTime end_ = sim::SimTime::zero();
   sim::SimTime cursor_ = sim::SimTime::zero();
   sim::SimTime frontier_ = sim::SimTime::zero();
-  double retry_tokens_ = 0.0;
+  /// Failover legs spend from this bucket; every request earns into it.
+  resilience::RetryBudget failover_budget_;
   std::uint32_t op_seq_ = 0;
   std::size_t ops_emitted_ = 0;
   BalancerStats stats_;

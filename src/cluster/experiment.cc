@@ -1,9 +1,10 @@
 #include "cluster/experiment.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
-#include "core/attack.h"
+#include "cluster/cell.h"
 #include "sim/trial_runner.h"
 
 namespace deepnote::cluster {
@@ -22,83 +23,25 @@ ClusterExperimentConfig cluster_experiment_config(double scale) {
 
 namespace {
 
-/// Everything a cell needs before choosing an execution engine: the
-/// cluster, the attack timeline, the focus-tracking SLO, and resolved
-/// balancer/traffic configs.
-struct CellSetup {
-  Cluster cluster;
-  BalancerConfig balancer;
-  TrafficConfig traffic;
-  SloTracker slo;
-  std::vector<TimelineAction> actions;
-
-  /// Works for both experiment config types (they share the relevant
-  /// field names: topology/scenario, balancer/traffic, the attack shape
-  /// and the warmup/attack/cooldown timeline).
-  template <typename ConfigT>
-  CellSetup(const ConfigT& config, PlacementPolicy policy,
-            std::optional<double> distance_m, std::uint64_t cell_seed)
-      : cluster(make_cluster_config(config, cell_seed)),
-        balancer(config.balancer),
-        traffic(config.traffic),
-        slo(sim::SimTime::zero()) {
-    balancer.policy = policy;
-    balancer.replication = config.replication;
-    traffic.duration = config.warmup + config.attack_window + config.cooldown;
-    traffic.seed = sim::trial_seed(cell_seed, 1);
-
-    const sim::SimTime attack_on = sim::SimTime::zero() + config.warmup;
-    const sim::SimTime attack_off = attack_on + config.attack_window;
-    slo.set_focus(attack_on, attack_off);
-
-    if (distance_m.has_value()) {
-      core::AttackConfig attack;
-      attack.frequency_hz = config.frequency_hz;
-      attack.spl_air_db = config.spl_air_db;
-      attack.distance_m = *distance_m;
-      attack.start = attack_on;
-      attack.end = attack_off;
-      const std::size_t pod = config.attacked_pod;
-      Cluster* target = &cluster;
-      actions.push_back({attack_on, [target, pod, attack](sim::SimTime t) {
-                           target->apply_attack(pod, t, attack);
-                         }});
-      actions.push_back({attack_off, [target, pod](sim::SimTime t) {
-                           target->stop_attack(pod, t);
-                         }});
-    }
-  }
-
-  template <typename ConfigT>
-  static ClusterConfig make_cluster_config(
-      const ConfigT& config, std::uint64_t cell_seed) {
-    ClusterConfig cluster_config;
-    cluster_config.scenario = config.scenario;
-    cluster_config.topology = config.topology;
-    cluster_config.seed = sim::trial_seed(cell_seed, 0);
-    return cluster_config;
-  }
-};
-
-ClusterTrialRow make_row(PlacementPolicy policy,
-                         std::optional<double> distance_m,
-                         const TrafficReport& report, const SloTracker& slo,
-                         const BalancerStats& stats) {
-  ClusterTrialRow row;
-  row.policy = policy;
-  row.distance_m = distance_m;
-  row.requests = report.requests;
-  row.failed = slo.failed();
-  row.availability = slo.availability();
-  row.attack_availability = slo.focus_availability();
-  row.p50_ms = slo.p50().millis();
-  row.p99_ms = slo.p99().millis();
-  row.p999_ms = slo.p999().millis();
-  row.read_failovers = stats.read_failovers;
-  row.hedged_reads = stats.hedged_reads;
-  row.drains = stats.drains;
-  row.readmits = stats.readmits;
-  return row;
+/// The cell inputs both grids in this file share; the caller fills in
+/// the policy.
+template <typename ConfigT>
+CellSpec cell_spec(const ConfigT& config, std::uint64_t cell_seed,
+                   std::shared_ptr<const ZipfAliasSampler> zipf,
+                   unsigned engine_jobs) {
+  CellSpec spec;
+  spec.scenario = config.scenario;
+  spec.topology = config.topology;
+  spec.replication = config.replication;
+  spec.balancer = config.balancer;
+  spec.traffic = config.traffic;
+  spec.warmup = config.warmup;
+  spec.attack = config.attack_window;
+  spec.tail = config.cooldown;
+  spec.seed = cell_seed;
+  spec.zipf = std::move(zipf);
+  spec.jobs = engine_jobs;
+  return spec;
 }
 
 }  // namespace
@@ -109,34 +52,34 @@ ClusterTrialRow run_cluster_cell(const ClusterExperimentConfig& config,
                                  std::uint64_t cell_seed,
                                  std::shared_ptr<const ZipfAliasSampler> zipf,
                                  unsigned engine_jobs) {
-  CellSetup cell(config, policy, distance_m, cell_seed);
-
-  EngineConfig engine_config;
-  engine_config.balancer = cell.balancer;
-  engine_config.traffic = cell.traffic;
-  engine_config.detector = cell.cluster.config().detector;
-  engine_config.jobs = engine_jobs;
-  engine_config.zipf = std::move(zipf);
+  CellSpec spec = cell_spec(config, cell_seed, std::move(zipf), engine_jobs);
+  spec.policy = policy;
+  ExperimentCell cell(spec);
+  std::vector<TimelineAction> actions;
+  if (distance_m.has_value()) {
+    actions = cell.pod_attack(config.attacked_pod, config.frequency_hz,
+                              config.spl_air_db, *distance_m);
+  }
   ShardedClusterEngine engine(cell.cluster.topology(),
-                              cell.cluster.device_pointers(),
-                              std::move(engine_config));
+                              cell.cluster.device_pointers(), cell.engine);
+  const EngineReport report =
+      engine.run(sim::SimTime::zero(), cell.slo, std::move(actions));
 
-  const EngineReport report = engine.run(sim::SimTime::zero(), cell.slo,
-                                         std::move(cell.actions));
-  return make_row(policy, distance_m, report.traffic, cell.slo, report.stats);
-}
-
-ClusterTrialRow run_cluster_cell_serial(const ClusterExperimentConfig& config,
-                                        PlacementPolicy policy,
-                                        std::optional<double> distance_m,
-                                        std::uint64_t cell_seed) {
-  CellSetup cell(config, policy, distance_m, cell_seed);
-
-  Balancer balancer(cell.cluster, cell.balancer);
-  TrafficRunner traffic(balancer, cell.traffic);
-  const TrafficReport report =
-      traffic.run(sim::SimTime::zero(), cell.slo, std::move(cell.actions));
-  return make_row(policy, distance_m, report, cell.slo, balancer.stats());
+  ClusterTrialRow row;
+  row.policy = policy;
+  row.distance_m = distance_m;
+  row.requests = report.traffic.requests;
+  row.failed = cell.slo.failed();
+  row.availability = cell.slo.availability();
+  row.attack_availability = cell.slo.focus_availability();
+  row.p50_ms = cell.slo.p50().millis();
+  row.p99_ms = cell.slo.p99().millis();
+  row.p999_ms = cell.slo.p999().millis();
+  row.read_failovers = report.stats.read_failovers;
+  row.hedged_reads = report.stats.hedged_reads;
+  row.drains = report.stats.drains;
+  row.readmits = report.stats.readmits;
+  return row;
 }
 
 std::vector<ClusterTrialRow> run_cluster_experiment(
@@ -183,27 +126,22 @@ ServingTrialRow run_serving_cell(const ServingExperimentConfig& config,
                                  std::uint64_t cell_seed,
                                  std::shared_ptr<const ZipfAliasSampler> zipf,
                                  unsigned engine_jobs) {
-  CellSetup cell(config, config.policy, distance_m, cell_seed);
-
-  EngineConfig engine_config;
-  engine_config.balancer = cell.balancer;
-  engine_config.traffic = cell.traffic;
-  engine_config.detector = cell.cluster.config().detector;
-  engine_config.jobs = engine_jobs;
-  engine_config.zipf = std::move(zipf);
-  engine_config.serving = config.serving;
-  engine_config.serving.enabled = true;
-  engine_config.serving.server.queue_limit = queue_limit;
-  engine_config.serving.server.admission = admission;
+  CellSpec spec = cell_spec(config, cell_seed, std::move(zipf), engine_jobs);
+  spec.policy = config.policy;
+  ExperimentCell cell(spec);
+  std::vector<TimelineAction> actions;
+  if (distance_m.has_value()) {
+    actions = cell.pod_attack(config.attacked_pod, config.frequency_hz,
+                              config.spl_air_db, *distance_m);
+  }
+  cell.engine.serving = config.serving;
+  cell.engine.serving.enabled = true;
+  cell.engine.serving.server.queue_limit = queue_limit;
+  cell.engine.serving.server.admission = admission;
   ShardedClusterEngine engine(cell.cluster.topology(),
-                              cell.cluster.device_pointers(),
-                              std::move(engine_config));
-
-  const EngineReport report = engine.run(sim::SimTime::zero(), cell.slo,
-                                         std::move(cell.actions));
-
-  const sim::SimTime attack_on = sim::SimTime::zero() + config.warmup;
-  const sim::SimTime attack_off = attack_on + config.attack_window;
+                              cell.cluster.device_pointers(), cell.engine);
+  const EngineReport report =
+      engine.run(sim::SimTime::zero(), cell.slo, std::move(actions));
 
   ServingTrialRow row;
   row.queue_limit = queue_limit;
@@ -228,7 +166,7 @@ ServingTrialRow run_serving_cell(const ServingExperimentConfig& config,
        engine.depth_timeline()) {
     // Epochs are clamped to the attack boundaries, so the window's
     // samples are exactly those ending in (on, off].
-    if (sample.at > attack_on && sample.at <= attack_off) {
+    if (sample.at > cell.attack_on && sample.at <= cell.attack_off) {
       row.attack_max_queue_depth =
           std::max(row.attack_max_queue_depth, sample.depth);
     }

@@ -2,12 +2,13 @@
 // single-pod acoustic attack, swept over placement policy and attacker
 // distance.
 //
-// Each grid cell is one independent trial (own Cluster, Balancer,
-// traffic stream; seeded by sim::trial_seed) fanned across the parallel
-// trial engine — output is bit-identical at any DEEPNOTE_JOBS setting.
-// A trial serves warmup traffic, insonifies one pod at 650 Hz / 140 dB
-// for the attack window, then cools down; availability inside the
-// window is accounted separately.
+// Each grid cell is one independent trial — its own Cluster, engine and
+// traffic stream, assembled by the shared cell builder (cell.h) and
+// seeded by sim::trial_seed — fanned across the parallel trial engine,
+// so output is bit-identical at any DEEPNOTE_JOBS setting. A trial
+// serves warmup traffic, insonifies one pod at 650 Hz / 140 dB for the
+// attack window, then cools down; availability inside the window is
+// accounted separately.
 //
 // The headline the table pins down: cross-pod 3-way replication rides
 // out a pod-level attack above 99% availability, while the dense
@@ -18,7 +19,6 @@
 #include <optional>
 #include <vector>
 
-#include "cluster/balancer.h"
 #include "cluster/engine.h"
 #include "cluster/node.h"
 #include "cluster/traffic.h"
@@ -76,11 +76,11 @@ struct ClusterTrialRow {
   std::uint64_t readmits = 0;
 };
 
-/// One grid cell on the sharded epoch engine (the default path —
-/// run_cluster_experiment fans these across the trial pool). `zipf`
-/// optionally shares a pre-built alias table across cells/iterations;
-/// `engine_jobs` is the engine's internal wave parallelism (1 = inline,
-/// the right setting when cells already fan across the trial pool).
+/// One grid cell on the sharded epoch engine (run_cluster_experiment
+/// fans these across the trial pool). `zipf` optionally shares a
+/// pre-built alias table across cells/iterations; `engine_jobs` is the
+/// engine's internal wave parallelism (1 = inline, the right setting
+/// when cells already fan across the trial pool).
 ClusterTrialRow run_cluster_cell(const ClusterExperimentConfig& config,
                                  PlacementPolicy policy,
                                  std::optional<double> distance_m,
@@ -88,14 +88,6 @@ ClusterTrialRow run_cluster_cell(const ClusterExperimentConfig& config,
                                  std::shared_ptr<const ZipfAliasSampler> zipf =
                                      nullptr,
                                  unsigned engine_jobs = 1);
-
-/// The same cell on the PR5 serial composition (Balancer +
-/// TrafficRunner, one request at a time). Kept as the reference the
-/// engine's speedup is measured against in bench_json.
-ClusterTrialRow run_cluster_cell_serial(const ClusterExperimentConfig& config,
-                                        PlacementPolicy policy,
-                                        std::optional<double> distance_m,
-                                        std::uint64_t cell_seed);
 
 /// Run the full grid; rows in (policy-major, distance-minor) order.
 std::vector<ClusterTrialRow> run_cluster_experiment(

@@ -25,7 +25,7 @@
 // Detection only moves the HDD timeout penalty off the serving path, so
 // it shapes tail latency, not availability.
 //
-// Mirror addressing is literal: the balancer's dense object LBAs are
+// Mirror addressing is literal: the engine's dense object LBAs are
 // used unchanged on the flash translation layer, whose logical space
 // must cover the object span. Probes and drain writes are issued as
 // independent background commands — their latency is the HDD's problem,

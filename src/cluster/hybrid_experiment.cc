@@ -1,10 +1,10 @@
 #include "cluster/hybrid_experiment.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
-#include "cluster/engine.h"
-#include "core/attack.h"
+#include "cluster/cell.h"
 #include "hdd/smart.h"
 #include "sim/trial_runner.h"
 
@@ -29,72 +29,47 @@ HybridTrialRow run_hybrid_cell(const HybridExperimentConfig& config,
                                std::uint64_t cell_seed,
                                std::shared_ptr<const ZipfAliasSampler> zipf,
                                unsigned engine_jobs) {
-  ClusterConfig cluster_config;
-  cluster_config.scenario = config.scenario;
-  cluster_config.topology = config.topology;
-  cluster_config.node_type = node_type;
-  cluster_config.hybrid = config.hybrid;
-  cluster_config.seed = sim::trial_seed(cell_seed, 0);
-  Cluster cluster(cluster_config);
-
-  const sim::Duration window = sim::Duration::from_seconds(
-      config.attack_window.seconds() * attack_multiplier);
-
-  BalancerConfig balancer = config.balancer;
-  balancer.policy = config.policy;
-  balancer.replication = config.replication;
-  TrafficConfig traffic = config.traffic;
-  traffic.duration = config.warmup + window + config.cooldown;
-  traffic.seed = sim::trial_seed(cell_seed, 1);
-
-  const sim::SimTime attack_on = sim::SimTime::zero() + config.warmup;
-  const sim::SimTime attack_off = attack_on + window;
-  SloTracker slo(sim::SimTime::zero());
-  slo.set_focus(attack_on, attack_off);
-
+  CellSpec spec;
+  spec.scenario = config.scenario;
+  spec.topology = config.topology;
+  spec.node_type = node_type;
+  spec.hybrid = config.hybrid;
+  spec.policy = config.policy;
+  spec.replication = config.replication;
+  spec.balancer = config.balancer;
+  spec.traffic = config.traffic;
+  spec.warmup = config.warmup;
+  spec.attack = sim::Duration::from_seconds(config.attack_window.seconds() *
+                                            attack_multiplier);
+  spec.tail = config.cooldown;
+  spec.seed = cell_seed;
+  spec.zipf = std::move(zipf);
+  spec.jobs = engine_jobs;
+  ExperimentCell cell(spec);
   std::vector<TimelineAction> actions;
   if (distance_m.has_value()) {
-    core::AttackConfig attack;
-    attack.frequency_hz = config.frequency_hz;
-    attack.spl_air_db = config.spl_air_db;
-    attack.distance_m = *distance_m;
-    attack.start = attack_on;
-    attack.end = attack_off;
-    const std::size_t pod = config.attacked_pod;
-    Cluster* target = &cluster;
-    actions.push_back({attack_on, [target, pod, attack](sim::SimTime t) {
-                         target->apply_attack(pod, t, attack);
-                       }});
-    actions.push_back({attack_off, [target, pod](sim::SimTime t) {
-                         target->stop_attack(pod, t);
-                       }});
+    actions = cell.pod_attack(config.attacked_pod, config.frequency_hz,
+                              config.spl_air_db, *distance_m);
   }
-
-  EngineConfig engine_config;
-  engine_config.balancer = balancer;
-  engine_config.traffic = traffic;
-  engine_config.detector = cluster.config().detector;
-  engine_config.jobs = engine_jobs;
-  engine_config.zipf = std::move(zipf);
-  ShardedClusterEngine engine(cluster.topology(), cluster.device_pointers(),
-                              std::move(engine_config));
+  ShardedClusterEngine engine(cell.cluster.topology(),
+                              cell.cluster.device_pointers(), cell.engine);
   const EngineReport report =
-      engine.run(sim::SimTime::zero(), slo, std::move(actions));
+      engine.run(sim::SimTime::zero(), cell.slo, std::move(actions));
 
   HybridTrialRow row;
   row.node_type = node_type;
   row.distance_m = distance_m;
   row.attack_multiplier = attack_multiplier;
   row.requests = report.traffic.requests;
-  row.failed = slo.failed();
-  row.availability = slo.availability();
-  row.attack_availability = slo.focus_availability();
-  row.p50_ms = slo.p50().millis();
-  row.p99_ms = slo.p99().millis();
+  row.failed = cell.slo.failed();
+  row.availability = cell.slo.availability();
+  row.attack_availability = cell.slo.focus_availability();
+  row.p50_ms = cell.slo.p50().millis();
+  row.p99_ms = cell.slo.p99().millis();
   row.read_failovers = report.stats.read_failovers;
   row.drains = report.stats.drains;
-  for (NodeId id = 0; id < cluster.num_nodes(); ++id) {
-    const HybridDevice* tier = cluster.hybrid(id);
+  for (NodeId id = 0; id < cell.cluster.num_nodes(); ++id) {
+    const HybridDevice* tier = cell.cluster.hybrid(id);
     if (tier == nullptr) continue;
     const HybridStats& s = tier->stats();
     row.absorbed_errors += s.absorbed_errors;

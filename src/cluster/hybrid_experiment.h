@@ -23,7 +23,7 @@
 #include <optional>
 #include <vector>
 
-#include "cluster/balancer.h"
+#include "cluster/engine.h"
 #include "cluster/node.h"
 #include "cluster/traffic.h"
 #include "sim/table.h"

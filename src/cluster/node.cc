@@ -14,67 +14,6 @@ const char* node_type_name(NodeType type) {
   return "?";
 }
 
-const char* health_name(NodeHealth health) {
-  switch (health) {
-    case NodeHealth::kHealthy: return "healthy";
-    case NodeHealth::kDegraded: return "degraded";
-    case NodeHealth::kDrained: return "drained";
-  }
-  return "?";
-}
-
-ClusterNode::ClusterNode(NodeId id, std::size_t pod, std::size_t bay,
-                         storage::BlockDevice& device,
-                         core::DetectorConfig detector)
-    : id_(id), pod_(pod), bay_(bay), device_(device), detector_(detector) {}
-
-void ClusterNode::mark_degraded(sim::SimTime now) {
-  if (health_ == NodeHealth::kHealthy) {
-    health_ = NodeHealth::kDegraded;
-    drained_at_ = now;  // timeline: when the detector pulled it from full duty
-  }
-}
-
-void ClusterNode::drain(sim::SimTime now) {
-  if (health_ != NodeHealth::kDrained) {
-    health_ = NodeHealth::kDrained;
-    drained_at_ = now;
-  }
-}
-
-void ClusterNode::readmit(sim::SimTime now) {
-  health_ = NodeHealth::kHealthy;
-  readmitted_at_ = now;
-  detector_.acknowledge();
-}
-
-void ClusterNode::observe(sim::SimTime issued, const storage::BlockIo& io) {
-  if (io.ok()) {
-    detector_.record_ok(io.complete, (io.complete - issued).seconds());
-  } else {
-    detector_.record_error(io.complete);
-    ++stats_.errors;
-  }
-}
-
-storage::BlockIo ClusterNode::read(sim::SimTime now, std::uint64_t lba,
-                                   std::uint32_t sector_count,
-                                   std::span<std::byte> out) {
-  ++stats_.reads;
-  const storage::BlockIo io = device_.read(now, lba, sector_count, out);
-  observe(now, io);
-  return io;
-}
-
-storage::BlockIo ClusterNode::write(sim::SimTime now, std::uint64_t lba,
-                                    std::uint32_t sector_count,
-                                    std::span<const std::byte> in) {
-  ++stats_.writes;
-  const storage::BlockIo io = device_.write(now, lba, sector_count, in);
-  observe(now, io);
-  return io;
-}
-
 storage::OsDeviceConfig datacenter_os_device() {
   storage::OsDeviceConfig config;
   config.command_timeout = sim::Duration::from_millis(150.0);
@@ -105,6 +44,7 @@ Cluster::Cluster(ClusterConfig config) : config_(config) {
   if (topo.pods == 0 || topo.bays_per_pod == 0) {
     throw std::invalid_argument("cluster: empty topology");
   }
+  devices_.reserve(topo.nodes());
   for (std::size_t pod = 0; pod < topo.pods; ++pod) {
     core::RackConfig rack;
     rack.scenario = config_.scenario;
@@ -121,24 +61,9 @@ Cluster::Cluster(ClusterConfig config) : config_(config) {
         hybrids_.emplace_back(*device, config_.hybrid);
         device = &hybrids_.back();
       }
-      nodes_.emplace_back(topo.node_id(pod, bay), pod, bay, *device,
-                          config_.detector);
+      devices_.push_back(device);
     }
   }
-}
-
-std::vector<ClusterNode*> Cluster::node_pointers() {
-  std::vector<ClusterNode*> out;
-  out.reserve(nodes_.size());
-  for (auto& node : nodes_) out.push_back(&node);
-  return out;
-}
-
-std::vector<storage::BlockDevice*> Cluster::device_pointers() {
-  std::vector<storage::BlockDevice*> out;
-  out.reserve(nodes_.size());
-  for (auto& node : nodes_) out.push_back(&node.device());
-  return out;
 }
 
 void Cluster::apply_attack(std::size_t pod, sim::SimTime now,

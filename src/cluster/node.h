@@ -1,10 +1,12 @@
-// Cluster nodes and the serving datacenter they form.
+// The serving datacenter: pods of bays, one storage node per bay.
 //
-// A node is one rack bay promoted to a unit of cluster membership: the
-// bay's OS block device, a per-node AttackDetector watching every I/O it
-// serves, and a health state the balancer routes around. A Cluster is a
-// set of pods (one RackTestbed per pod — one enclosure, one acoustic
-// blast radius) with one node per bay.
+// A Cluster is a set of pods, one RackTestbed per pod — one enclosure,
+// one acoustic blast radius — with one node per bay. A node is the
+// bay's block device: the bay's HDD behind datacenter-tuned OS timers,
+// optionally fronted by a flash tier (hybrid.h). The cluster owns the
+// physics (pods, drives, attacks); routing, detectors and node health
+// live in the engine that drives it (engine.h), which takes the
+// devices in id order from device_pointers().
 //
 // Nodes run datacenter-tuned SCSI timeouts (datacenter_os_device()):
 // a serving fleet fails commands in hundreds of milliseconds and lets
@@ -13,7 +15,6 @@
 #pragma once
 
 #include <deque>
-#include <optional>
 #include <vector>
 
 #include "cluster/hybrid.h"
@@ -23,74 +24,6 @@
 #include "storage/block_device.h"
 
 namespace deepnote::cluster {
-
-enum class NodeHealth {
-  kHealthy,   ///< in rotation
-  kDegraded,  ///< detector alerted but the balancer keeps routing to it
-  kDrained,   ///< out of rotation; probed for readmission
-};
-
-const char* health_name(NodeHealth health);
-
-struct NodeStats {
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t errors = 0;
-};
-
-class ClusterNode {
- public:
-  /// Does not take ownership of the device.
-  ClusterNode(NodeId id, std::size_t pod, std::size_t bay,
-              storage::BlockDevice& device,
-              core::DetectorConfig detector = {});
-
-  // Pinned: the device reference and the detector's identity make a
-  // moved-from node a landmine (a vector reallocation would silently
-  // route I/O through dead state), so nodes live in containers with
-  // stable addresses (Cluster uses a deque) instead of being movable.
-  ClusterNode(const ClusterNode&) = delete;
-  ClusterNode& operator=(const ClusterNode&) = delete;
-  ClusterNode(ClusterNode&&) = delete;
-  ClusterNode& operator=(ClusterNode&&) = delete;
-
-  NodeId id() const { return id_; }
-  std::size_t pod() const { return pod_; }
-  std::size_t bay() const { return bay_; }
-
-  storage::BlockDevice& device() { return device_; }
-  core::AttackDetector& detector() { return detector_; }
-  const core::AttackDetector& detector() const { return detector_; }
-  NodeHealth health() const { return health_; }
-  const NodeStats& stats() const { return stats_; }
-
-  /// Health transitions (timestamps kept for post-run timelines).
-  void mark_degraded(sim::SimTime now);
-  void drain(sim::SimTime now);
-  void readmit(sim::SimTime now);
-  std::optional<sim::SimTime> drained_at() const { return drained_at_; }
-  std::optional<sim::SimTime> readmitted_at() const { return readmitted_at_; }
-
-  /// Serve one object I/O; the outcome feeds the node's detector.
-  storage::BlockIo read(sim::SimTime now, std::uint64_t lba,
-                        std::uint32_t sector_count, std::span<std::byte> out);
-  storage::BlockIo write(sim::SimTime now, std::uint64_t lba,
-                         std::uint32_t sector_count,
-                         std::span<const std::byte> in);
-
- private:
-  void observe(sim::SimTime issued, const storage::BlockIo& io);
-
-  NodeId id_;
-  std::size_t pod_;
-  std::size_t bay_;
-  storage::BlockDevice& device_;
-  core::AttackDetector detector_;
-  NodeHealth health_ = NodeHealth::kHealthy;
-  std::optional<sim::SimTime> drained_at_;
-  std::optional<sim::SimTime> readmitted_at_;
-  NodeStats stats_;
-};
 
 /// SCSI command timers tuned the way a serving fleet tunes them: fail
 /// fast (150 ms timer, 2 attempts) and let replication absorb the error,
@@ -110,8 +43,9 @@ struct ClusterConfig {
   core::ScenarioId scenario = core::ScenarioId::kPlasticTower;
   ClusterTopology topology;  ///< pods x bays_per_pod
   storage::OsDeviceConfig os_device = datacenter_os_device();
-  /// Per-node health monitor. Warms fast: a fleet baselines a node in
-  /// dozens of ops, and the error-burst rule needs no warmup at all.
+  /// Per-node health monitor the engine runs over these nodes. Warms
+  /// fast: a fleet baselines a node in dozens of ops, and the
+  /// error-burst rule needs no warmup at all.
   core::DetectorConfig detector = fleet_detector();
   NodeType node_type = NodeType::kHdd;
   HybridConfig hybrid;  ///< flash tier, used when node_type == kHybrid
@@ -126,9 +60,7 @@ class Cluster {
 
   const ClusterConfig& config() const { return config_; }
   const ClusterTopology& topology() const { return config_.topology; }
-  std::size_t num_nodes() const { return nodes_.size(); }
-  ClusterNode& node(NodeId id) { return nodes_.at(id); }
-  const ClusterNode& node(NodeId id) const { return nodes_.at(id); }
+  std::size_t num_nodes() const { return devices_.size(); }
   core::RackTestbed& pod(std::size_t pod) { return pods_.at(pod); }
   /// The node's flash tier; nullptr on a pure-HDD cluster.
   const HybridDevice* hybrid(NodeId id) const {
@@ -136,11 +68,10 @@ class Cluster {
                                                   : nullptr;
   }
 
-  /// Non-owning node pointers in id order (what a Balancer routes over).
-  std::vector<ClusterNode*> node_pointers();
-  /// Non-owning raw block devices in id order (what the sharded engine
-  /// drives; detectors/health live in the engine's flat arrays).
-  std::vector<storage::BlockDevice*> device_pointers();
+  /// Non-owning block devices in id order (what the engine drives).
+  const std::vector<storage::BlockDevice*>& device_pointers() {
+    return devices_;
+  }
 
   /// Insonify / silence one pod (all its bays couple to the same field).
   void apply_attack(std::size_t pod, sim::SimTime now,
@@ -152,15 +83,17 @@ class Cluster {
 
  private:
   ClusterConfig config_;
-  // Deques, not vectors: both types are immovable (nodes hold device
-  // references, pods own acoustic state), and deque::emplace_back never
-  // relocates existing elements. Hot per-request paths route over
-  // node_pointers()/device_pointers() arrays, not through these.
+  // Deques, not vectors: both types are immovable (pods own acoustic
+  // state, tiers hold a reference to their HDD), and
+  // deque::emplace_back never relocates existing elements, so the
+  // device pointers below stay valid for the cluster's lifetime.
   std::deque<core::RackTestbed> pods_;
   /// One flash tier per node on hybrid clusters (id order; empty
-  /// otherwise). Immovable like everything else here.
+  /// otherwise).
   std::deque<HybridDevice> hybrids_;
-  std::deque<ClusterNode> nodes_;
+  /// Each node's serving device in id order: the bay's OS device, or
+  /// the flash tier in front of it.
+  std::vector<storage::BlockDevice*> devices_;
 };
 
 }  // namespace deepnote::cluster

@@ -4,6 +4,7 @@
 #include <string>
 #include <utility>
 
+#include "cluster/cell.h"
 #include "cluster/resilience/chaos.h"
 #include "sim/trial_runner.h"
 
@@ -121,73 +122,66 @@ OverloadTrialRow run_overload_cell(const OverloadExperimentConfig& config,
                                    std::uint64_t cell_seed,
                                    std::shared_ptr<const ZipfAliasSampler> zipf,
                                    unsigned engine_jobs) {
-  ClusterConfig cluster_config;
-  cluster_config.scenario = config.scenario;
-  cluster_config.topology = config.topology;
-  cluster_config.seed = sim::trial_seed(cell_seed, 0);
-  Cluster cluster(cluster_config);
+  CellSpec spec;
+  spec.scenario = config.scenario;
+  spec.topology = config.topology;
+  spec.policy = config.placement;
+  spec.replication = config.replication;
+  spec.balancer = config.balancer;
+  spec.traffic = config.traffic;
+  spec.warmup = config.warmup;
+  spec.attack = attack;
+  spec.tail = config.observe;
+  spec.seed = cell_seed;
+  spec.zipf = std::move(zipf);
+  spec.jobs = engine_jobs;
+  ExperimentCell cell(spec);
 
-  const sim::SimTime start = sim::SimTime::zero();
-  const sim::SimTime attack_on = start + config.warmup;
-  const sim::SimTime attack_off = attack_on + attack;
-
-  EngineConfig engine_config;
-  engine_config.balancer = config.balancer;
-  engine_config.balancer.policy = config.placement;
-  engine_config.balancer.replication = config.replication;
-  engine_config.traffic = config.traffic;
-  engine_config.traffic.duration = config.warmup + attack + config.observe;
-  engine_config.traffic.seed = sim::trial_seed(cell_seed, 1);
-  engine_config.detector = cluster.config().detector;
-  engine_config.jobs = engine_jobs;
-  engine_config.zipf = std::move(zipf);
-  engine_config.serving.enabled = true;
-  engine_config.serving.closed_loop = true;
-  engine_config.serving.clients = config.clients;
-  engine_config.serving.server.queue_limit = config.queue_limit;
-  engine_config.serving.server.admission = config.admission;
+  ServingModeConfig& mode = cell.engine.serving;
+  mode.enabled = true;
+  mode.closed_loop = true;
+  mode.clients = config.clients;
+  mode.server.queue_limit = config.queue_limit;
+  mode.server.admission = config.admission;
   if (policy == OverloadPolicy::kNaive) {
-    engine_config.serving.backoff = config.naive_backoff;
-    engine_config.serving.retry_budget.enabled = false;
+    mode.backoff = config.naive_backoff;
+    mode.retry_budget.enabled = false;
     // The wasted-work ingredient: expired requests still burn device
     // time, so during a storm the fleet is 100% busy serving requests
     // nobody is waiting for.
-    engine_config.serving.server.drop_expired = false;
+    mode.server.drop_expired = false;
   } else {
-    engine_config.serving.backoff = config.governed_backoff;
-    engine_config.serving.retry_budget = config.governed_budget;
-    engine_config.serving.server.drop_expired = true;
+    mode.backoff = config.governed_backoff;
+    mode.retry_budget = config.governed_budget;
+    mode.server.drop_expired = true;
   }
-  engine_config.breaker = config.breaker;
-  engine_config.breaker.enabled = breaker_on;
-
-  ShardedClusterEngine engine(cluster.topology(), cluster.device_pointers(),
-                              std::move(engine_config));
+  cell.engine.breaker = config.breaker;
+  cell.engine.breaker.enabled = breaker_on;
+  ShardedClusterEngine engine(cell.cluster.topology(),
+                              cell.cluster.device_pointers(), cell.engine);
 
   // The attack rides the chaos schedule: scripted pod pulses, lowered
   // onto epoch barriers exactly like randomized chaos would be.
   resilience::ChaosConfig chaos;
-  chaos.nodes = cluster.topology().nodes();
-  chaos.pods = cluster.topology().pods;
+  chaos.nodes = cell.cluster.topology().nodes();
+  chaos.pods = cell.cluster.topology().pods;
   chaos.pulse_frequency_hz = config.frequency_hz;
   chaos.pulse_spl_air_db = config.spl_air_db;
   for (const std::size_t pod : config.attacked_pods) {
     chaos.scripted.push_back(
-        {attack_on, resilience::ChaosEventKind::kPodAttackOn,
+        {cell.attack_on, resilience::ChaosEventKind::kPodAttackOn,
          static_cast<std::uint32_t>(pod), config.attack_distance_m});
-    chaos.scripted.push_back({attack_off,
+    chaos.scripted.push_back({cell.attack_off,
                               resilience::ChaosEventKind::kPodAttackOff,
                               static_cast<std::uint32_t>(pod), 0.0});
   }
   const std::vector<resilience::ChaosEvent> schedule =
       resilience::make_chaos_schedule(chaos, cell_seed, 2);
-  std::vector<TimelineAction> actions =
-      resilience::chaos_actions(schedule, engine, cluster, chaos);
-
-  SloTracker slo(start);
-  slo.set_focus(attack_on, attack_off);
-  const EngineReport report = engine.run(start, slo, std::move(actions));
-  return make_overload_row(config, policy, breaker_on, attack, report, slo);
+  const EngineReport report = engine.run(
+      sim::SimTime::zero(), cell.slo,
+      resilience::chaos_actions(schedule, engine, cell.cluster, chaos));
+  return make_overload_row(config, policy, breaker_on, attack, report,
+                           cell.slo);
 }
 
 std::vector<OverloadTrialRow> run_overload_experiment(

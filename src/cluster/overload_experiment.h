@@ -25,7 +25,6 @@
 #include <memory>
 #include <vector>
 
-#include "cluster/balancer.h"
 #include "cluster/engine.h"
 #include "cluster/node.h"
 #include "cluster/resilience/retry.h"

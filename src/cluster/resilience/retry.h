@@ -82,9 +82,11 @@ struct RetryBudgetConfig {
   double cap = 32.0;
 };
 
-/// Cluster-wide token-bucket retry budget. Single-threaded by design:
-/// both earn() and try_spend() run inside the engine's serial
-/// closed-loop sections, never on wave shards.
+/// Cluster-wide token-bucket retry budget. The engine keeps two: one
+/// gates closed-loop client retries, the other its own replica
+/// failovers. Single-threaded by design: earn() and try_spend() run in
+/// the engine's single-threaded routing and combine sections, never on
+/// wave shards.
 class RetryBudget {
  public:
   RetryBudget() = default;

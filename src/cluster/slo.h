@@ -2,7 +2,7 @@
 // log-bucketed latency quantiles (p50/p99/p999), and error-budget math.
 //
 // Availability is request availability: a request counts as served when
-// the balancer returned success within its deadline, and it is charged
+// the engine returned success within its deadline, and it is charged
 // to the fixed-width window its *arrival* falls in (open-loop load — the
 // client does not slow down because the service got slow). A focus
 // interval (the attack window) is accounted separately and exactly.

@@ -5,45 +5,7 @@
 #include <cstddef>
 #include <stdexcept>
 
-#include "storage/block_device.h"
-
 namespace deepnote::cluster {
-
-namespace {
-
-double zeta(std::uint64_t n, double theta) {
-  double sum = 0.0;
-  for (std::uint64_t i = 1; i <= n; ++i) {
-    sum += 1.0 / std::pow(static_cast<double>(i), theta);
-  }
-  return sum;
-}
-
-}  // namespace
-
-ZipfGenerator::ZipfGenerator(std::uint64_t n, double theta)
-    : n_(n), theta_(theta) {
-  if (n_ == 0) throw std::invalid_argument("zipf: empty keyspace");
-  if (theta_ <= 0.0 || theta_ >= 1.0) {
-    throw std::invalid_argument("zipf: theta must be in (0, 1)");
-  }
-  zetan_ = zeta(n_, theta_);
-  zeta2_ = zeta(2, theta_);
-  alpha_ = 1.0 / (1.0 - theta_);
-  eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta_)) /
-         (1.0 - zeta2_ / zetan_);
-}
-
-std::uint64_t ZipfGenerator::next(sim::Rng& rng) const {
-  // Gray et al.'s approximate Zipf sampler, as popularized by YCSB.
-  const double u = rng.next_double();
-  const double uz = u * zetan_;
-  if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
-  const auto rank = static_cast<std::uint64_t>(
-      static_cast<double>(n_) * std::pow(eta_ * u - eta_ + 1.0, alpha_));
-  return rank >= n_ ? n_ - 1 : rank;
-}
 
 ZipfAliasSampler::ZipfAliasSampler(std::uint64_t n, double theta)
     : n_(n), theta_(theta) {
@@ -221,98 +183,6 @@ void ClosedLoopPopulation::complete(std::uint32_t client, sim::SimTime when,
   c.has_retry = 0;
   push_pending(client, when + sim::Duration::from_seconds(
                            c.rng.exponential(think_mean_s_)));
-}
-
-TrafficRunner::TrafficRunner(Balancer& balancer, TrafficConfig config)
-    : balancer_(balancer), config_(config) {
-  if (config_.clients == 0) {
-    throw std::invalid_argument("traffic: needs at least one client");
-  }
-  if (config_.arrival_rate_per_s <= 0.0) {
-    throw std::invalid_argument("traffic: arrival rate must be positive");
-  }
-  if (config_.read_fraction < 0.0 || config_.read_fraction > 1.0) {
-    throw std::invalid_argument("traffic: read fraction must be in [0, 1]");
-  }
-}
-
-TrafficReport TrafficRunner::run(sim::SimTime start, SloTracker& slo,
-                                 std::vector<TimelineAction> actions) {
-  const sim::SimTime end = start + config_.duration;
-  const double per_client_mean_s =
-      static_cast<double>(config_.clients) / config_.arrival_rate_per_s;
-  const ZipfGenerator zipf(config_.keyspace, config_.zipf_theta);
-
-  struct Client {
-    sim::Rng rng{0};
-    sim::SimTime next_arrival = sim::SimTime::zero();
-  };
-  sim::Rng master(config_.seed);
-  std::vector<Client> clients(config_.clients);
-  for (Client& c : clients) {
-    c.rng = master.fork();
-    c.next_arrival =
-        start + sim::Duration::from_seconds(
-                    c.rng.exponential(per_client_mean_s));
-  }
-
-  const std::size_t object_bytes =
-      static_cast<std::size_t>(balancer_.config().object_sectors) *
-      storage::kBlockSectorSize;
-  std::vector<std::byte> buffer(object_bytes, std::byte{0x5a});
-
-  TrafficReport report;
-  std::size_t next_action = 0;
-  // Latest completion handed out so far. Timeline actions fire no
-  // earlier than this: a device whose last command finished at T must
-  // not see its environment change at T' < T.
-  sim::SimTime frontier = start;
-
-  while (true) {
-    // Min-scan merge of the client streams, ties broken by index.
-    std::size_t who = 0;
-    for (std::size_t c = 1; c < clients.size(); ++c) {
-      if (clients[c].next_arrival < clients[who].next_arrival) who = c;
-    }
-    Client& client = clients[who];
-    const sim::SimTime arrival = client.next_arrival;
-    if (arrival >= end) break;
-
-    while (next_action < actions.size() && actions[next_action].at <= arrival) {
-      actions[next_action].fn(sim::max(actions[next_action].at, frontier));
-      ++next_action;
-    }
-    balancer_.run_probes(arrival);
-
-    const std::uint64_t key = zipf.next(client.rng);
-    const bool is_read = client.rng.bernoulli(config_.read_fraction);
-    RequestOutcome outcome;
-    if (is_read) {
-      ++report.reads;
-      outcome = balancer_.read(arrival, key, buffer);
-    } else {
-      ++report.writes;
-      outcome = balancer_.write(arrival, key, buffer);
-    }
-    ++report.requests;
-    frontier = sim::max(frontier, outcome.complete);
-    if (outcome.ok) {
-      slo.record_success(arrival, outcome.complete - arrival);
-    } else {
-      slo.record_failure(arrival);
-    }
-
-    client.next_arrival =
-        arrival + sim::Duration::from_seconds(
-                      client.rng.exponential(per_client_mean_s));
-  }
-
-  // Fire any trailing actions (e.g. attack off after the last arrival).
-  while (next_action < actions.size() && actions[next_action].at < end) {
-    actions[next_action].fn(sim::max(actions[next_action].at, frontier));
-    ++next_action;
-  }
-  return report;
 }
 
 }  // namespace deepnote::cluster

@@ -1,23 +1,20 @@
-// Open-loop traffic generation for the cluster: Poisson arrivals from
-// independent client streams, Zipf object popularity, a fixed read/write
-// mix, and a timeline of scheduled actions (attack on / attack off).
+// Traffic inputs for the cluster engine: Zipf object popularity (an
+// exact alias-method sampler), the offered load and read/write mix, a
+// timeline of scheduled actions (attack on / attack off), and the
+// closed-loop client population the serving mode drives.
 //
 // Open-loop matters for availability numbers: real clients do not slow
 // down because the storage got slow, so load keeps arriving at the
 // configured rate while drives hang — exactly the regime where a parked
-// pod turns into failed requests instead of a quietly longer queue.
-//
-// Determinism: each client owns a forked RNG stream and its own next
-// arrival time; the runner merges streams by (time, client index). The
-// same seed produces the same request sequence regardless of how trials
-// are scheduled across worker threads.
+// pod turns into failed requests instead of a quietly longer queue. The
+// engine generates that stream itself (engine.h); the closed-loop
+// population below is the backpressure alternative.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <vector>
 
-#include "cluster/balancer.h"
 #include "cluster/resilience/retry.h"
 #include "cluster/slo.h"
 #include "sim/rng.h"
@@ -25,33 +22,15 @@
 
 namespace deepnote::cluster {
 
-/// YCSB-style approximate Zipf rank generator over [0, n). Rank 0 is the
-/// hottest key; placement's key hash scatters ranks across nodes.
-class ZipfGenerator {
- public:
-  ZipfGenerator(std::uint64_t n, double theta);
-
-  std::uint64_t next(sim::Rng& rng) const;
-  std::uint64_t n() const { return n_; }
-  double theta() const { return theta_; }
-
- private:
-  std::uint64_t n_;
-  double theta_;
-  double zetan_;
-  double zeta2_;
-  double alpha_;
-  double eta_;
-};
-
 /// Exact Zipf rank sampler via Vose's alias method: O(n) build, O(1)
 /// per sample (one table lookup + one biased coin), no per-sample
 /// normalization. At millions of keys this is what makes batch traffic
 /// generation cheap enough to disappear next to the drive model; it is
 /// also *exact* — each rank r is drawn with probability
-/// (r+1)^-theta / zeta(n, theta) — where ZipfGenerator is the YCSB
-/// approximation. Deterministic: the table depends only on (n, theta)
-/// and each sample consumes exactly two RNG draws.
+/// (r+1)^-theta / zeta(n, theta). Rank 0 is the hottest key;
+/// placement's key hash scatters ranks across nodes. Deterministic: the
+/// table depends only on (n, theta) and each sample consumes exactly
+/// two RNG draws.
 class ZipfAliasSampler {
  public:
   ZipfAliasSampler(std::uint64_t n, double theta);
@@ -71,19 +50,18 @@ class ZipfAliasSampler {
 };
 
 struct TrafficConfig {
-  /// Aggregate offered load, split evenly across `clients` streams.
+  /// Aggregate offered load.
   double arrival_rate_per_s = 1000.0;
   sim::Duration duration = sim::Duration::from_seconds(60.0);
   double read_fraction = 0.9;
-  std::size_t clients = 4;
   std::uint64_t keyspace = 20000;
   double zipf_theta = 0.99;
   std::uint64_t seed = 1;
 };
 
 /// One scheduled control action (start/stop an attack, drain a pod...).
-/// Fired at the first arrival at or after `at`; the callback receives
-/// the scheduled time.
+/// Fired at the engine's epoch barrier at `at`; the callback receives
+/// `at`, or the latest completion already handed out if that is later.
 struct TimelineAction {
   sim::SimTime at = sim::SimTime::zero();
   std::function<void(sim::SimTime)> fn;
@@ -182,22 +160,6 @@ class ClosedLoopPopulation {
   resilience::BackoffConfig backoff_;
   resilience::RetryBudget* budget_ = nullptr;
   std::uint64_t retries_ = 0;
-};
-
-class TrafficRunner {
- public:
-  TrafficRunner(Balancer& balancer, TrafficConfig config);
-
-  const TrafficConfig& config() const { return config_; }
-
-  /// Drive the full duration of traffic starting at `start`, recording
-  /// every request into `slo`. Actions must be sorted by `at`.
-  TrafficReport run(sim::SimTime start, SloTracker& slo,
-                    std::vector<TimelineAction> actions = {});
-
- private:
-  Balancer& balancer_;
-  TrafficConfig config_;
 };
 
 }  // namespace deepnote::cluster

@@ -1,7 +1,7 @@
 // Sharded cluster engine tests: bit-exact determinism at any wave
-// parallelism (including forced sharding), agreement with the serial
-// Balancer composition on the paper-level headline, and the stepping
-// API.
+// parallelism (including forced sharding), convergence of the
+// paper-level headline as the epoch shrinks, the stepping API, and
+// constructor validation.
 #include "cluster/engine.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include <optional>
 #include <vector>
 
+#include "cluster/cell.h"
 #include "cluster/experiment.h"
 #include "core/attack.h"
 
@@ -125,24 +126,57 @@ TEST(ClusterEngine, ShardCountDoesNotChangeResults) {
   expect_identical(two, eight);
 }
 
-// The engine and the serial Balancer composition are different
-// schedulers over the same physics, detectors, and control policy; both
-// must tell the same availability story for the paper's headline cell.
-TEST(ClusterEngine, AgreesWithSerialCompositionOnTheHeadline) {
+/// Attack-window availability of the paper's headline cell (scale 0.1,
+/// pod 0 insonified at 1 cm), built through the shared cell builder at
+/// the given epoch length.
+double headline_attack_availability(PlacementPolicy policy,
+                                    sim::Duration epoch) {
+  const ClusterExperimentConfig config = cluster_experiment_config(0.1);
+  CellSpec spec;
+  spec.scenario = config.scenario;
+  spec.topology = config.topology;
+  spec.policy = policy;
+  spec.replication = config.replication;
+  spec.balancer = config.balancer;
+  spec.traffic = config.traffic;
+  spec.warmup = config.warmup;
+  spec.attack = config.attack_window;
+  spec.tail = config.cooldown;
+  spec.seed = 0x7e57;
+  ExperimentCell cell(spec);
+  cell.engine.epoch = epoch;
+  ShardedClusterEngine engine(cell.cluster.topology(),
+                              cell.cluster.device_pointers(), cell.engine);
+  engine.run(sim::SimTime::zero(), cell.slo,
+             cell.pod_attack(config.attacked_pod, config.frequency_hz,
+                             config.spl_air_db, 0.01));
+  return cell.slo.focus_availability();
+}
+
+// The epoch is the control loop's reaction quantum, the one fidelity
+// trade the engine makes. Shrinking it fifty-fold, toward per-request
+// control, must not change the headline: the 50 ms default has
+// converged.
+TEST(ClusterEngine, ConvergesAsTheEpochShrinks) {
   const ClusterExperimentConfig config = cluster_experiment_config(0.1);
   for (const PlacementPolicy policy :
        {PlacementPolicy::kSamePod, PlacementPolicy::kCrossPod}) {
-    const ClusterTrialRow engine_row =
-        run_cluster_cell(config, policy, 0.01, 0x7e57);
-    const ClusterTrialRow serial_row =
-        run_cluster_cell_serial(config, policy, 0.01, 0x7e57);
+    const double coarse = headline_attack_availability(
+        policy, sim::Duration::from_millis(50.0));
+    const double fine =
+        headline_attack_availability(policy, sim::Duration::from_millis(1.0));
+    // At the default epoch the builder's cell is the grid's own cell.
+    EXPECT_DOUBLE_EQ(
+        coarse,
+        run_cluster_cell(config, policy, 0.01, 0x7e57).attack_availability);
     if (policy == PlacementPolicy::kSamePod) {
-      EXPECT_LE(engine_row.attack_availability, 0.20);
-      EXPECT_LE(serial_row.attack_availability, 0.20);
+      EXPECT_LE(coarse, 0.20);
+      EXPECT_LE(fine, 0.20);
     } else {
-      EXPECT_GE(engine_row.attack_availability, 0.99);
-      EXPECT_GE(serial_row.attack_availability, 0.99);
+      EXPECT_GE(coarse, 0.99);
+      EXPECT_GE(fine, 0.99);
     }
+    EXPECT_NEAR(coarse, fine, 0.01) << placement_name(policy);
   }
 }
 
@@ -193,6 +227,11 @@ TEST(ClusterEngine, RejectsDegenerateConfig) {
                std::invalid_argument);
   config = {};
   config.zipf = std::make_shared<const ZipfAliasSampler>(123, 0.5);
+  EXPECT_THROW(ShardedClusterEngine(cluster.topology(),
+                                    cluster.device_pointers(), config),
+               std::invalid_argument);
+  config = {};
+  config.balancer.write_quorum = 4;  // > replication 3
   EXPECT_THROW(ShardedClusterEngine(cluster.topology(),
                                     cluster.device_pointers(), config),
                std::invalid_argument);

@@ -1,79 +1,41 @@
-// ClusterNode identity-pinning tests.
+// Cluster layout tests: the device list the engine drives.
 //
-// A node holds a device reference and an AttackDetector whose learned
-// baseline IS the node's identity; an accidentally-moved-from node would
-// keep routing I/O through dead state. The regression pinned here: the
-// node once had defaulted move operations and lived in a std::vector,
-// so any reallocation could silently relocate nodes mid-run. Nodes are
-// now immovable and Cluster stores them in a deque, whose emplace_back
-// never relocates existing elements.
+// The engine holds raw device pointers for a whole run, so a Cluster's
+// devices must never move: pods and flash tiers live in deques, whose
+// emplace_back never relocates existing elements.
 #include "cluster/node.h"
 
 #include <gtest/gtest.h>
 
-#include <type_traits>
 #include <vector>
 
 namespace deepnote::cluster {
 namespace {
 
-// The fix itself, enforced at compile time: a ClusterNode can never be
-// copied or moved, so no container growth or std::move can detach it
-// from its device/detector.
-static_assert(!std::is_copy_constructible_v<ClusterNode>);
-static_assert(!std::is_copy_assignable_v<ClusterNode>);
-static_assert(!std::is_move_constructible_v<ClusterNode>);
-static_assert(!std::is_move_assignable_v<ClusterNode>);
-
-TEST(ClusterNode, AddressesAreStableAcrossClusterLifetime) {
+TEST(Cluster, DevicePointersAreStableAndInIdOrder) {
   ClusterConfig config;
   config.topology = ClusterTopology{.pods = 4, .bays_per_pod = 6};
   Cluster cluster(config);
   ASSERT_EQ(cluster.num_nodes(), 24u);
 
-  // Capture every node's identity (address, device address) up front...
-  std::vector<ClusterNode*> before;
-  std::vector<storage::BlockDevice*> devices_before;
+  const std::vector<storage::BlockDevice*> devices = cluster.device_pointers();
+  ASSERT_EQ(devices.size(), cluster.num_nodes());
+  const ClusterTopology& topo = cluster.topology();
   for (NodeId id = 0; id < cluster.num_nodes(); ++id) {
-    before.push_back(&cluster.node(id));
-    devices_before.push_back(&cluster.node(id).device());
+    // Id order is pod-major; each node serves through its bay's device.
+    EXPECT_EQ(devices[id],
+              &cluster.pod(topo.pod_of(id)).device(topo.bay_of(id)))
+        << "node " << id;
   }
+  EXPECT_EQ(cluster.device_pointers(), devices);
 
-  // ...and check nothing relocates under the accessors the balancer and
-  // engine actually route over.
-  const std::vector<ClusterNode*> pointers = cluster.node_pointers();
-  const std::vector<storage::BlockDevice*> devices =
-      cluster.device_pointers();
-  ASSERT_EQ(pointers.size(), before.size());
-  ASSERT_EQ(devices.size(), devices_before.size());
-  for (NodeId id = 0; id < cluster.num_nodes(); ++id) {
-    EXPECT_EQ(pointers[id], before[id]) << "node " << id << " relocated";
-    EXPECT_EQ(devices[id], devices_before[id]);
-    EXPECT_EQ(&cluster.node(id), before[id]);
-  }
-}
-
-TEST(ClusterNode, HealthTransitionsKeepTimestamps) {
-  ClusterConfig config;
+  // On a hybrid cluster each node serves through its flash tier.
   config.topology = ClusterTopology{.pods = 1, .bays_per_pod = 2};
-  Cluster cluster(config);
-  ClusterNode& node = cluster.node(0);
-
-  EXPECT_EQ(node.health(), NodeHealth::kHealthy);
-  EXPECT_FALSE(node.drained_at().has_value());
-
-  const sim::SimTime t1 = sim::SimTime::from_seconds(1.0);
-  const sim::SimTime t2 = sim::SimTime::from_seconds(2.0);
-  node.mark_degraded(t1);
-  EXPECT_EQ(node.health(), NodeHealth::kDegraded);
-  node.drain(t1);
-  EXPECT_EQ(node.health(), NodeHealth::kDrained);
-  ASSERT_TRUE(node.drained_at().has_value());
-  EXPECT_EQ(node.drained_at()->ns(), t1.ns());
-  node.readmit(t2);
-  EXPECT_EQ(node.health(), NodeHealth::kHealthy);
-  ASSERT_TRUE(node.readmitted_at().has_value());
-  EXPECT_EQ(node.readmitted_at()->ns(), t2.ns());
+  config.node_type = NodeType::kHybrid;
+  Cluster hybrid(config);
+  for (NodeId id = 0; id < hybrid.num_nodes(); ++id) {
+    EXPECT_EQ(hybrid.device_pointers()[id], hybrid.hybrid(id));
+  }
 }
 
 }  // namespace

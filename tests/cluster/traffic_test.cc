@@ -1,68 +1,28 @@
-// Traffic generator tests: Zipf popularity shape, open-loop Poisson
-// arrival counts, deterministic replay, the read/write mix, and timeline
-// action delivery.
+// Traffic tests: the exact alias-method Zipf sampler, and the engine's
+// open-loop arrivals — Poisson arrival counts, the read/write mix,
+// deterministic replay, timeline action delivery and the rejection of
+// degenerate traffic configs — on MemDisk nodes.
 #include "cluster/traffic.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
+#include <stdexcept>
 #include <vector>
 
-#include "storage/mem_disk.h"
+#include "mem_cluster.h"
 
 namespace deepnote::cluster {
 namespace {
-
-constexpr std::uint64_t kSectors = 16384;
-
-struct MiniServing {
-  ClusterTopology topo{.pods = 3, .bays_per_pod = 1};
-  std::vector<std::unique_ptr<storage::MemDisk>> disks;
-  std::vector<std::unique_ptr<ClusterNode>> nodes;
-  std::unique_ptr<Balancer> balancer;
-
-  MiniServing() {
-    for (std::size_t pod = 0; pod < topo.pods; ++pod) {
-      disks.push_back(std::make_unique<storage::MemDisk>(kSectors));
-      nodes.push_back(std::make_unique<ClusterNode>(
-          topo.node_id(pod, 0), pod, 0, *disks.back()));
-    }
-    std::vector<ClusterNode*> pointers;
-    for (auto& n : nodes) pointers.push_back(n.get());
-    BalancerConfig config;
-    config.objects = 1000;
-    balancer = std::make_unique<Balancer>(topo, pointers, config);
-  }
-};
-
-TEST(Zipf, RankZeroIsHottest) {
-  const ZipfGenerator zipf(1000, 0.99);
-  sim::Rng rng(42);
-  std::vector<std::uint64_t> counts(1000, 0);
-  constexpr int kSamples = 20000;
-  for (int i = 0; i < kSamples; ++i) ++counts[zipf.next(rng)];
-  for (std::size_t rank = 1; rank < counts.size(); ++rank) {
-    EXPECT_GE(counts[0], counts[rank]) << "rank " << rank;
-  }
-  // Under theta=0.99 the head takes a far-greater-than-uniform share.
-  EXPECT_GT(counts[0], kSamples / 100);
-}
-
-TEST(Zipf, StaysInRangeAndRejectsBadConfig) {
-  const ZipfGenerator zipf(10, 0.5);
-  sim::Rng rng(7);
-  for (int i = 0; i < 5000; ++i) EXPECT_LT(zipf.next(rng), 10u);
-  EXPECT_THROW(ZipfGenerator(0, 0.99), std::invalid_argument);
-  EXPECT_THROW(ZipfGenerator(10, 1.0), std::invalid_argument);
-}
 
 TEST(ZipfAlias, ExactProbabilitiesSumToOneAndDecay) {
   const ZipfAliasSampler zipf(1000, 0.99);
   double sum = 0.0;
   for (std::uint64_t rank = 0; rank < 1000; ++rank) {
     sum += zipf.probability(rank);
-    if (rank > 0) EXPECT_LT(zipf.probability(rank), zipf.probability(rank - 1));
+    if (rank > 0) {
+      EXPECT_LT(zipf.probability(rank), zipf.probability(rank - 1));
+    }
   }
   EXPECT_NEAR(sum, 1.0, 1e-9);
 }
@@ -91,37 +51,6 @@ TEST(ZipfAlias, MatchesTheExactDistribution) {
   }
 }
 
-TEST(ZipfAlias, AgreesWithTheApproximateGenerator) {
-  // The YCSB generator is an approximation of the same law; over coarse
-  // buckets the two samplers must tell the same popularity story (the
-  // alias sampler is the refinement, not a different distribution).
-  constexpr std::uint64_t kN = 1000;
-  constexpr double kTheta = 0.99;
-  constexpr int kSamples = 100000;
-  const ZipfAliasSampler alias(kN, kTheta);
-  const ZipfGenerator approx(kN, kTheta);
-  sim::Rng rng_a(77);
-  sim::Rng rng_b(78);
-  // Log-spaced buckets: [0,1), [1,10), [10,100), [100,1000).
-  auto bucket_of = [](std::uint64_t rank) {
-    if (rank < 1) return 0;
-    if (rank < 10) return 1;
-    if (rank < 100) return 2;
-    return 3;
-  };
-  double share_a[4] = {0, 0, 0, 0};
-  double share_b[4] = {0, 0, 0, 0};
-  for (int i = 0; i < kSamples; ++i) {
-    ++share_a[bucket_of(alias.next(rng_a))];
-    ++share_b[bucket_of(approx.next(rng_b))];
-  }
-  for (int b = 0; b < 4; ++b) {
-    share_a[b] /= kSamples;
-    share_b[b] /= kSamples;
-    EXPECT_NEAR(share_a[b], share_b[b], 0.02) << "bucket " << b;
-  }
-}
-
 TEST(ZipfAlias, DeterministicAndRejectsBadConfig) {
   const ZipfAliasSampler zipf(100, 0.7);
   sim::Rng a(123);
@@ -133,31 +62,25 @@ TEST(ZipfAlias, DeterministicAndRejectsBadConfig) {
 }
 
 TEST(Traffic, OpenLoopArrivalCountTracksTheRate) {
-  MiniServing serving;
-  TrafficConfig config;
-  config.arrival_rate_per_s = 2000.0;
-  config.duration = sim::Duration::from_seconds(1.0);
-  config.keyspace = 1000;
-  TrafficRunner runner(*serving.balancer, config);
-  SloTracker slo(sim::SimTime::zero());
-  const TrafficReport report = runner.run(sim::SimTime::zero(), slo);
+  MemCluster mem;
+  EngineConfig config = mem_engine_config();
+  config.traffic.arrival_rate_per_s = 2000.0;
+  const MemRun run = run_on(mem, config);
+  const TrafficReport& report = run.report.traffic;
   // Poisson(2000): +/- 5 sigma.
   EXPECT_GT(report.requests, 1750u);
   EXPECT_LT(report.requests, 2250u);
   EXPECT_EQ(report.requests, report.reads + report.writes);
-  EXPECT_EQ(report.requests, slo.total());
+  EXPECT_EQ(report.requests, run.slo.total());
 }
 
 TEST(Traffic, ReadWriteMixRoughlyHonored) {
-  MiniServing serving;
-  TrafficConfig config;
-  config.arrival_rate_per_s = 5000.0;
-  config.duration = sim::Duration::from_seconds(1.0);
-  config.read_fraction = 0.9;
-  config.keyspace = 1000;
-  TrafficRunner runner(*serving.balancer, config);
-  SloTracker slo(sim::SimTime::zero());
-  const TrafficReport report = runner.run(sim::SimTime::zero(), slo);
+  MemCluster mem;
+  EngineConfig config = mem_engine_config();
+  config.traffic.arrival_rate_per_s = 5000.0;
+  config.traffic.read_fraction = 0.9;
+  const MemRun run = run_on(mem, config);
+  const TrafficReport& report = run.report.traffic;
   const double read_share =
       static_cast<double>(report.reads) / static_cast<double>(report.requests);
   EXPECT_GT(read_share, 0.85);
@@ -165,75 +88,65 @@ TEST(Traffic, ReadWriteMixRoughlyHonored) {
 }
 
 TEST(Traffic, SameSeedReplaysIdentically) {
-  TrafficConfig config;
-  config.arrival_rate_per_s = 1000.0;
-  config.duration = sim::Duration::from_seconds(1.0);
-  config.keyspace = 1000;
-  config.seed = 0xfeed;
+  EngineConfig config = mem_engine_config();
+  config.traffic.seed = 0xfeed;
 
-  MiniServing a;
-  SloTracker slo_a(sim::SimTime::zero());
-  const TrafficReport ra =
-      TrafficRunner(*a.balancer, config).run(sim::SimTime::zero(), slo_a);
+  MemCluster a;
+  const MemRun ra = run_on(a, config);
+  MemCluster b;
+  const MemRun rb = run_on(b, config);
 
-  MiniServing b;
-  SloTracker slo_b(sim::SimTime::zero());
-  const TrafficReport rb =
-      TrafficRunner(*b.balancer, config).run(sim::SimTime::zero(), slo_b);
-
-  EXPECT_EQ(ra.requests, rb.requests);
-  EXPECT_EQ(ra.reads, rb.reads);
-  EXPECT_EQ(ra.writes, rb.writes);
-  EXPECT_EQ(slo_a.total(), slo_b.total());
-  EXPECT_EQ(slo_a.p99().ns(), slo_b.p99().ns());
+  EXPECT_EQ(ra.report.traffic.requests, rb.report.traffic.requests);
+  EXPECT_EQ(ra.report.traffic.reads, rb.report.traffic.reads);
+  EXPECT_EQ(ra.report.traffic.writes, rb.report.traffic.writes);
+  EXPECT_EQ(ra.slo.total(), rb.slo.total());
+  EXPECT_EQ(ra.slo.p99().ns(), rb.slo.p99().ns());
   for (std::size_t pod = 0; pod < a.topo.pods; ++pod) {
     EXPECT_EQ(a.disks[pod]->op_count(), b.disks[pod]->op_count());
   }
 }
 
 TEST(Traffic, TimelineActionsFireOnceInOrder) {
-  MiniServing serving;
-  TrafficConfig config;
-  config.arrival_rate_per_s = 1000.0;
-  config.duration = sim::Duration::from_seconds(1.0);
-  config.keyspace = 1000;
-  TrafficRunner runner(*serving.balancer, config);
-  SloTracker slo(sim::SimTime::zero());
-
+  // 30 ms devices: requests arriving just before an action complete
+  // after its scheduled time, so the action must wait for them.
+  const sim::Duration latency = sim::Duration::from_millis(30.0);
+  MemCluster mem(latency);
   std::vector<int> fired;
   std::vector<sim::SimTime> fired_at;
   std::vector<TimelineAction> actions;
-  actions.push_back({sim::SimTime::from_millis(100.0), [&](sim::SimTime t) {
+  const sim::SimTime first = sim::SimTime::from_millis(100.0);
+  const sim::SimTime second = sim::SimTime::from_millis(600.0);
+  actions.push_back({first, [&](sim::SimTime t) {
                        fired.push_back(1);
                        fired_at.push_back(t);
                      }});
-  actions.push_back({sim::SimTime::from_millis(600.0), [&](sim::SimTime t) {
+  actions.push_back({second, [&](sim::SimTime t) {
                        fired.push_back(2);
                        fired_at.push_back(t);
                      }});
-  runner.run(sim::SimTime::zero(), slo, std::move(actions));
+  run_on(mem, mem_engine_config(), std::move(actions));
+
   ASSERT_EQ(fired.size(), 2u);
   EXPECT_EQ(fired[0], 1);
   EXPECT_EQ(fired[1], 2);
-  // Actions fire at their scheduled time or later (never travel back
-  // behind the I/O frontier).
-  EXPECT_GE(fired_at[0], sim::SimTime::from_millis(100.0));
-  EXPECT_GE(fired_at[1], sim::SimTime::from_millis(600.0));
+  // Never behind the I/O frontier: later than the scheduled time by the
+  // tail of the requests already in flight, and no later than the
+  // slowest of them could have completed.
+  EXPECT_GT(fired_at[0], first);
+  EXPECT_LE(fired_at[0], first + latency);
+  EXPECT_GT(fired_at[1], second);
+  EXPECT_LE(fired_at[1], second + latency);
 }
 
 TEST(Traffic, RejectsDegenerateConfig) {
-  MiniServing serving;
-  TrafficConfig config;
-  config.clients = 0;
-  EXPECT_THROW(TrafficRunner(*serving.balancer, config),
+  MemCluster mem;
+  EngineConfig config = mem_engine_config();
+  config.traffic.arrival_rate_per_s = 0.0;
+  EXPECT_THROW(ShardedClusterEngine(mem.topo, mem.devices(), config),
                std::invalid_argument);
-  config = {};
-  config.arrival_rate_per_s = 0.0;
-  EXPECT_THROW(TrafficRunner(*serving.balancer, config),
-               std::invalid_argument);
-  config = {};
-  config.read_fraction = 1.5;
-  EXPECT_THROW(TrafficRunner(*serving.balancer, config),
+  config = mem_engine_config();
+  config.traffic.read_fraction = 1.5;
+  EXPECT_THROW(ShardedClusterEngine(mem.topo, mem.devices(), config),
                std::invalid_argument);
 }
 

@@ -17,11 +17,12 @@
 // reported but never fail. An end-to-end entry in the candidate that
 // carries a "min_speedup" field is additionally gated on its own
 // recorded baseline: candidate current/baseline must reach that floor
-// (this is how the 1000-node cluster engine enforces >= 10x over the
-// serial composition). An entry with a "gates" object is gated on its
-// own "metrics" absolutely: each gated metric must stay inside
+// (this is how the serving cells bound the request pipeline's cost
+// against immediate dispatch). An entry with a "gates" object is gated
+// on its own "metrics" absolutely: each gated metric must stay inside
 // [min, max] — this is how overload_recovery_1k enforces the <= 30 s
-// recovery time regardless of host speed. The per-suite table is
+// recovery time, and cluster_availability_1k the >= 99% cross-pod
+// attack availability, regardless of host speed. The per-suite table is
 // sorted worst delta first so the regression (or near-miss) is always
 // the first row; the exit-1 failure message names every offending
 // suite. Exit code 1 when anything regresses, 0 otherwise.
