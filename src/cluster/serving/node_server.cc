@@ -307,6 +307,9 @@ void NodeServer::start_service(std::uint32_t idx, sim::SimTime start) {
     case storage::DiskOpKind::kFlush:
       io = device_.flush(start);
       break;
+    case storage::DiskOpKind::kErase:
+      io = device_.erase(start, ctx.lba, ctx.sector_count);
+      break;
   }
   std::int64_t complete_ns = io.complete.ns();
   if (service_scale_ != 1.0 && !io.complete.is_infinite()) {

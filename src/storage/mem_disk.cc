@@ -30,6 +30,8 @@ bool MemDisk::should_fail(DiskOpKind kind, std::uint64_t lba,
     case DiskOpKind::kRead: ++reads_; break;
     case DiskOpKind::kWrite: ++writes_; break;
     case DiskOpKind::kFlush: ++flushes_; break;
+    // MemDisk keeps BlockDevice's no-op erase, so no erase reaches here.
+    case DiskOpKind::kErase: break;
   }
   bool fail = failing_;
   if (!fail && (fail_ops_ & fault_ops::mask_of(kind)) != 0) {

@@ -1,0 +1,197 @@
+// Fleet-scale contracts: the simulated-time results the reproduction
+// stands on, each checked on a 1,000- or 10,000-node cell against a
+// fixed, inclusive bound.
+//
+//  * Cross-pod replication rides out a one-pod attack: at 1k nodes it
+//    serves >= 99% of the requests that arrive while pod 0 is attacked.
+//  * Governed retries plus breakers bring a pulsed fleet back: at 1k and
+//    at 10k nodes the run recovers, within 30 simulated seconds of
+//    attack-off.
+//  * Flash-fronted hybrid nodes hold where HDD nodes collapse: with every
+//    replica in the attacked pod, HDD nodes serve <= 15% of attack-window
+//    requests and hybrid nodes >= 99%.
+//
+// These cells are the fleet-scale form of the single-drive acoustic
+// denial of service of Shahrad et al. (arXiv:1712.07816). Every value is
+// deterministic from the seeds at any DEEPNOTE_JOBS, so one run per case
+// decides it. The engine runs with jobs = 0 ($DEEPNOTE_JOBS). Each case
+// prints its metrics on one "contract" line, the numbers EXPERIMENTS.md
+// quotes. The 10k overload cell alone takes most of a minute, which is
+// why these cases carry their own `contract` ctest label.
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <memory>
+#include <utility>
+#include <vector>
+
+#include "cluster/engine.h"
+#include "cluster/hybrid_experiment.h"
+#include "cluster/node.h"
+#include "cluster/overload_experiment.h"
+#include "cluster/slo.h"
+#include "core/attack.h"
+#include "sim/trial_runner.h"
+
+namespace deepnote::cluster {
+namespace {
+
+// 200 pods x 5 bays, cross-pod R=3, 20k objects, a 1M-key Zipf at
+// 400 req/s for 3 simulated seconds; pod 0 insonified at 650 Hz /
+// 140 dB / 1 cm from 0.5 s to 2.5 s. Cross-pod placement loses at most
+// one replica per object to a one-pod attack.
+TEST(Contract, ClusterAvailability1k) {
+  core::AttackConfig attack;
+  attack.frequency_hz = 650.0;
+  attack.spl_air_db = 140.0;
+  attack.distance_m = 0.01;
+  attack.start = sim::SimTime::from_seconds(0.5);
+  attack.end = sim::SimTime::from_seconds(2.5);
+
+  EngineConfig config;
+  config.balancer.policy = PlacementPolicy::kCrossPod;
+  config.balancer.objects = 20000;
+  config.traffic.arrival_rate_per_s = 400.0;
+  config.traffic.duration = sim::Duration::from_seconds(3.0);
+  config.traffic.keyspace = 1000000;
+  config.traffic.seed = 0xbeef;
+  config.zipf = std::make_shared<const ZipfAliasSampler>(
+      config.traffic.keyspace, config.traffic.zipf_theta);
+  config.jobs = 0;  // $DEEPNOTE_JOBS
+
+  ClusterConfig cluster_config;
+  cluster_config.topology = {.pods = 200, .bays_per_pod = 5};
+  cluster_config.seed = 0x1234;
+  Cluster cl(cluster_config);
+  ShardedClusterEngine engine(cl.topology(), cl.device_pointers(), config);
+  SloTracker slo(sim::SimTime::zero());
+  slo.set_focus(attack.start, attack.end);
+  std::vector<TimelineAction> actions;
+  actions.push_back({attack.start, [&cl, attack](sim::SimTime t) {
+                       cl.apply_attack(0, t, attack);
+                     }});
+  actions.push_back(
+      {attack.end, [&cl](sim::SimTime t) { cl.stop_attack(0, t); }});
+  const EngineReport report =
+      engine.run(sim::SimTime::zero(), slo, std::move(actions));
+
+  const double availability = slo.focus_availability();
+  std::printf("contract cluster_availability_1k: requests=%llu "
+              "attack_availability=%.4f\n",
+              static_cast<unsigned long long>(report.traffic.requests),
+              availability);
+  EXPECT_GE(availability, 0.99);
+}
+
+// The governed + breaker corner of the overload grid, scaled from the
+// golden 15-node grid to `pods` x 5 bays. Two thirds of the pods are
+// pulsed for 5 s through the chaos schedule, enough to break every
+// cross-pod write quorum. `load` scales the offered pressure relative to
+// the grid's ~70% fleet utilization; 1.0 reproduces the grid's margin.
+OverloadTrialRow run_overload_recovery(std::size_t pods, double scale,
+                                       double load) {
+  OverloadExperimentConfig config = overload_experiment_config(scale);
+  config.topology = {.pods = pods, .bays_per_pod = 5};
+  // Clients scale with the arrival rate, so each client's think time is
+  // the grid's.
+  const double fleet = static_cast<double>(pods * 5) / 15.0;
+  config.traffic.arrival_rate_per_s *= fleet * load;
+  config.clients = static_cast<std::size_t>(
+      static_cast<double>(config.clients) * fleet * load);
+  // At the grid's Zipf skew the head key carries ~7% of traffic: fine at
+  // 1.8k arrivals/s, fatal once the fleet-scaled rate lands that 7% on
+  // one object's replicas. Near-uniform keys keep saturation a
+  // fleet-wide property rather than a hot-shard artifact.
+  config.traffic.zipf_theta = 0.01;
+  // Hold replicas per node at the 1k cell's ~60. With the default 20k
+  // objects a 10k-node fleet carries ~6 per node, and the Poisson tail
+  // (nodes drawing 9+) sits past capacity from t=0: a placement-variance
+  // artifact, not the overload under study.
+  config.balancer.objects = static_cast<std::uint64_t>(pods * 5) * 20;
+  config.attacked_pods.clear();
+  for (std::size_t pod = 0; pod < pods * 2 / 3; ++pod) {
+    config.attacked_pods.push_back(pod);
+  }
+
+  const auto zipf = std::make_shared<const ZipfAliasSampler>(
+      config.traffic.keyspace, config.traffic.zipf_theta);
+  return run_overload_cell(config, OverloadPolicy::kGoverned,
+                           /*breaker_on=*/true,
+                           sim::Duration::from_seconds(5.0),
+                           sim::trial_seed(config.seed, 0), zipf,
+                           /*engine_jobs=*/0);
+}
+
+void expect_recovered(const char* cell, const OverloadTrialRow& row) {
+  std::printf("contract %s: requests=%llu recovered=%d recovery_s=%.2f "
+              "attack_availability=%.4f post_availability=%.4f "
+              "retries=%llu breaker_opens=%llu\n",
+              cell, static_cast<unsigned long long>(row.requests),
+              row.recovered ? 1 : 0, row.recovery_s, row.attack_availability,
+              row.post_availability,
+              static_cast<unsigned long long>(row.retries),
+              static_cast<unsigned long long>(row.breaker_opens));
+  EXPECT_TRUE(row.recovered);
+  EXPECT_LE(row.recovery_s, 30.0);
+}
+
+// ~273k closed-loop clients at 120k req/s offered. The 60 s observation
+// window (scale 0.1) is double the bound, so a near miss reads as a
+// recovery_s breach rather than as recovered = false.
+TEST(Contract, OverloadRecovery1k) {
+  expect_recovered("overload_recovery_1k",
+                   run_overload_recovery(/*pods=*/200, /*scale=*/0.1,
+                                         /*load=*/1.0));
+}
+
+// 10,000 nodes at 60% of the grid's utilization and a 30 s window. At
+// the grid's ~70% a 10k fleet samples its placement and queueing tails
+// deep enough that the worst-loaded nodes sit past capacity with no
+// attack at all (steady state near 93%); the headroom keeps the cell
+// about attack recovery.
+TEST(Contract, OverloadRecovery10k) {
+  expect_recovered("overload_recovery_10k",
+                   run_overload_recovery(/*pods=*/2000, /*scale=*/0.05,
+                                         /*load=*/0.6));
+}
+
+// 200 pods x 5 bays, same-pod placement: every replica of every object
+// shares the attacked pod, so only the node's own storage stack can
+// serve. Pod 0 insonified at 650 Hz / 140 dB / 1 cm for 4 simulated
+// seconds, once on pure-HDD nodes and once on flash-fronted hybrids.
+TEST(Contract, HybridAvailability1k) {
+  HybridExperimentConfig config = hybrid_experiment_config(/*scale=*/0.1);
+  config.topology = {.pods = 200, .bays_per_pod = 5};
+  const auto zipf = std::make_shared<const ZipfAliasSampler>(
+      config.traffic.keyspace, config.traffic.zipf_theta);
+  constexpr double kDistance = 0.01;
+  constexpr double kMultiplier = 1.0;
+
+  const HybridTrialRow hdd =
+      run_hybrid_cell(config, NodeType::kHdd, kDistance, kMultiplier,
+                      sim::trial_seed(config.seed, 0), zipf,
+                      /*engine_jobs=*/0);
+  const HybridTrialRow hybrid =
+      run_hybrid_cell(config, NodeType::kHybrid, kDistance, kMultiplier,
+                      sim::trial_seed(config.seed, 1), zipf,
+                      /*engine_jobs=*/0);
+
+  std::printf("contract hybrid_availability_1k: requests=%llu "
+              "hdd_attack_availability=%.4f hybrid_attack_availability=%.4f "
+              "hybrid_availability=%.4f absorbed_errors=%llu "
+              "flash_only_ops=%llu drained_pages=%llu dirty_pages_left=%llu "
+              "media_wearout=%d\n",
+              static_cast<unsigned long long>(hybrid.requests),
+              hdd.attack_availability, hybrid.attack_availability,
+              hybrid.availability,
+              static_cast<unsigned long long>(hybrid.absorbed_errors),
+              static_cast<unsigned long long>(hybrid.flash_only_ops),
+              static_cast<unsigned long long>(hybrid.drained_pages),
+              static_cast<unsigned long long>(hybrid.dirty_pages_left),
+              hybrid.media_wearout);
+  EXPECT_LE(hdd.attack_availability, 0.15);
+  EXPECT_GE(hybrid.attack_availability, 0.99);
+}
+
+}  // namespace
+}  // namespace deepnote::cluster

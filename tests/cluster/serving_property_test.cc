@@ -18,6 +18,9 @@
 //    pipeline is empty after drain();
 //  * sanity of the per-outcome timestamps (the queue-wait / service-time
 //    decomposition the experiment layer reports).
+//
+// A directed case checks that an erase reaches the device and occupies
+// the server like any other command.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -238,6 +241,9 @@ TEST_P(ServingProperty, DepthBoundedAndTimestampsSane) {
         // request's own arrival, for drop-oldest the evictor's.
         EXPECT_GE(r.complete.ns(), r.arrival.ns());
         break;
+      case OutcomeKind::kCancelled:
+        ADD_FAILURE() << "cancelled without a cancel_at: tag " << r.tag;
+        break;
     }
   }
 }
@@ -268,6 +274,77 @@ TEST_P(ServingProperty, ResetReplaysIdentically) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ServingProperty,
                          ::testing::Range<std::uint64_t>(1, 25));
+
+/// Serves every command in `latency` and records each erase it gets.
+class ErasingDisk final : public storage::BlockDevice {
+ public:
+  struct Extent {
+    std::uint64_t lba;
+    std::uint32_t sector_count;
+  };
+
+  explicit ErasingDisk(sim::Duration latency) : latency_(latency) {}
+
+  std::uint64_t total_sectors() const override { return 16384; }
+  storage::BlockIo read(sim::SimTime now, std::uint64_t, std::uint32_t,
+                        std::span<std::byte>) override {
+    return done(now);
+  }
+  storage::BlockIo write(sim::SimTime now, std::uint64_t, std::uint32_t,
+                         std::span<const std::byte>) override {
+    return done(now);
+  }
+  storage::BlockIo flush(sim::SimTime now) override { return done(now); }
+  storage::BlockIo erase(sim::SimTime now, std::uint64_t lba,
+                         std::uint32_t sector_count) override {
+    erased_.push_back({lba, sector_count});
+    return done(now);
+  }
+
+  const std::vector<Extent>& erased() const { return erased_; }
+
+ private:
+  storage::BlockIo done(sim::SimTime now) const {
+    return storage::BlockIo{storage::BlockStatus::kOk, now + latency_};
+  }
+
+  sim::Duration latency_;
+  std::vector<Extent> erased_;
+};
+
+// An erase submitted through the public API reaches the device, takes
+// device time, and holds the server busy like any other command: the
+// read queued behind it starts when the erase completes.
+TEST(NodeServer, EraseReachesTheDeviceAndHoldsTheServer) {
+  const sim::Duration latency = sim::Duration::from_micros(2000);
+  ErasingDisk disk(latency);
+  NodeServer server(disk, ServerConfig{4, AdmissionPolicy::kRejectNew});
+  const sim::SimTime arrival =
+      sim::SimTime::zero() + sim::Duration::from_micros(100);
+  const sim::SimTime deadline = arrival + sim::Duration::from_seconds(1.0);
+  std::vector<std::byte> buf(storage::kBlockSectorSize);
+  server.submit(arrival, storage::DiskOpKind::kErase, 128, 8, {}, {},
+                deadline, /*tag=*/0);
+  server.submit(arrival, storage::DiskOpKind::kRead, 0, 1, {},
+                std::span<std::byte>(buf), deadline, /*tag=*/1);
+  server.drain();
+
+  ASSERT_EQ(disk.erased().size(), 1u);
+  EXPECT_EQ(disk.erased()[0].lba, 128u);
+  EXPECT_EQ(disk.erased()[0].sector_count, 8u);
+
+  const std::vector<ServeResult>& results = server.completions();
+  ASSERT_EQ(results.size(), 2u);
+  const ServeResult& erase = results[0];
+  EXPECT_EQ(erase.tag, 0u);
+  EXPECT_EQ(erase.outcome, OutcomeKind::kServed);
+  EXPECT_EQ(erase.service_start.ns(), arrival.ns());
+  EXPECT_GE(erase.complete.ns(), erase.service_start.ns());
+  EXPECT_EQ(erase.complete.ns(), (arrival + latency).ns());
+  const ServeResult& read = results[1];
+  EXPECT_EQ(read.tag, 1u);
+  EXPECT_EQ(read.service_start.ns(), erase.complete.ns());
+}
 
 }  // namespace
 }  // namespace deepnote::cluster::serving

@@ -117,7 +117,9 @@ TEST(DeterminismTest, IdenticalSeedsGiveIdenticalExperiments) {
   EXPECT_EQ(a.ops_completed, b.ops_completed);
   EXPECT_EQ(a.ops_errored, b.ops_errored);
   ASSERT_EQ(a.latency_ms.has_value(), b.latency_ms.has_value());
-  if (a.latency_ms) EXPECT_EQ(*a.latency_ms, *b.latency_ms);
+  if (a.latency_ms) {
+    EXPECT_EQ(*a.latency_ms, *b.latency_ms);
+  }
 }
 
 TEST(DeterminismTest, DifferentDriveSeedsDifferInStochasticRegime) {

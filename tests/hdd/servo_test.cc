@@ -137,8 +137,8 @@ TEST(ServoTest, RejectionSuppressesLowFrequencies) {
 
 TEST(ServoTest, ComplianceModesPeakAboveFloor) {
   ServoConfig cfg = base_config();
-  cfg.compliance_modes.add_mode(
-      structure::Mode{.f0_hz = 700.0, .q = 3.0, .peak_gain_db = 40.0});
+  cfg.compliance_modes.add_mode(structure::Mode{
+      .f0_hz = 700.0, .q = 3.0, .peak_gain_db = 40.0, .label = {}});
   Servo servo(cfg);
   EXPECT_NEAR(servo.compliance_nm_per_pa(700.0), 0.01 * 101.0, 0.05);
   EXPECT_LT(servo.compliance_nm_per_pa(10000.0),

@@ -16,6 +16,7 @@
 #include "sim/rng.h"
 #include "storage/extfs.h"
 #include "storage/os_device.h"
+#include "numbered.h"
 
 namespace deepnote::storage {
 namespace {
@@ -112,7 +113,7 @@ class CrashWorkload {
   void step(ExtFs& fs, SimTime& t) {
     const int kind = static_cast<int>(rng_.uniform_int(0, 9));
     if (kind <= 2 || files_.empty()) {  // create
-      const std::string name = "f" + std::to_string(next_id_++);
+      const std::string name = numbered("f", next_id_++);
       FileModel model;
       auto cr = fs.create(t, "/" + name, &model.inode);
       t = cr.done;

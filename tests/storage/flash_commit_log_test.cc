@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "storage/flash/flash_device.h"
+#include "numbered.h"
 
 namespace deepnote::storage {
 namespace {
@@ -73,8 +74,7 @@ TEST(CommitLogTest, RemountRecoversCommittedState) {
     CommitLog log(flash, log_config(flash));
     ASSERT_TRUE(log.format(SimTime::zero()).ok());
     for (int c = 0; c < 5; ++c) {
-      const std::vector<std::byte> v =
-          bytes_of("v" + std::to_string(c));
+      const std::vector<std::byte> v = bytes_of(numbered("v", c));
       const SetAttr ops[] = {
           SetAttr{static_cast<std::uint8_t>(c), v},
           SetAttr{42, v},
@@ -86,8 +86,7 @@ TEST(CommitLogTest, RemountRecoversCommittedState) {
   CommitLog reopened(flash, log_config(flash));
   ASSERT_TRUE(reopened.mount(SimTime::zero()).ok());
   for (int c = 0; c < 5; ++c) {
-    expect_value(reopened, static_cast<std::uint8_t>(c),
-                 "v" + std::to_string(c));
+    expect_value(reopened, static_cast<std::uint8_t>(c), numbered("v", c));
   }
   expect_value(reopened, 42, "v4");  // last writer wins
 }
@@ -108,8 +107,7 @@ TEST(CommitLogTest, CompactionFlipsThePairAndKeepsState) {
   // compact (erase the idle block, rewrite state, bump the revision),
   // and the state must survive every flip.
   for (int c = 0; c < 40; ++c) {
-    const std::vector<std::byte> v =
-        bytes_of("value-" + std::to_string(c));
+    const std::vector<std::byte> v = bytes_of(numbered("value-", c));
     const SetAttr ops[] = {
         SetAttr{static_cast<std::uint8_t>(c % 3), v}};
     ASSERT_TRUE(log.commit(SimTime::zero(), ops).ok()) << "commit " << c;

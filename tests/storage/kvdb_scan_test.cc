@@ -9,6 +9,7 @@
 #include "sim/rng.h"
 #include "storage/kvdb/db.h"
 #include "storage/mem_disk.h"
+#include "numbered.h"
 
 namespace deepnote::storage::kvdb {
 namespace {
@@ -91,7 +92,7 @@ TEST(DbScanTest, NewestVersionWinsAcrossLevels) {
   ScanFixture fx;
   // Old version flushed to an SST...
   for (int i = 0; i < 3000; ++i) {
-    fx.put("key" + std::to_string(i), "old");
+    fx.put(numbered("key", i), "old");
   }
   ASSERT_TRUE(fx.db->flush(fx.t).ok());
   // ...new version in the memtable.
@@ -110,7 +111,7 @@ TEST(DbScanTest, NewestVersionWinsAcrossLevels) {
 TEST(DbScanTest, TombstonesHideEntriesAcrossLevels) {
   ScanFixture fx;
   for (int i = 0; i < 3000; ++i) {
-    fx.put("key" + std::to_string(i), "v");
+    fx.put(numbered("key", i), "v");
   }
   ASSERT_TRUE(fx.db->flush(fx.t).ok());
   auto dr = fx.db->del(fx.t, "key100");
@@ -125,7 +126,7 @@ TEST(DbScanTest, TombstonesHideEntriesAcrossLevels) {
 TEST(DbScanTest, EarlyStopVisitor) {
   ScanFixture fx;
   for (int i = 0; i < 100; ++i) {
-    fx.put("k" + std::to_string(1000 + i), "v");
+    fx.put(numbered("k", 1000 + i), "v");
   }
   int seen = 0;
   auto r = fx.db->scan(fx.t, "", "", [&](std::string_view, std::string_view) {
@@ -145,7 +146,7 @@ TEST(DbScanTest, MatchesModelAfterMixedWorkload) {
     std::snprintf(key, sizeof(key), "k%04d",
                   static_cast<int>(rng.uniform_int(0, 800)));
     if (rng.bernoulli(0.75)) {
-      const std::string value = "v" + std::to_string(op);
+      const std::string value = numbered("v", op);
       fx.put(key, value);
       model[key] = value;
     } else {
@@ -173,7 +174,7 @@ TEST(DbScanTest, ScanSurvivesCompaction) {
   ScanFixture fx;
   for (int round = 0; round < 6; ++round) {
     for (int i = 0; i < 2500; ++i) {
-      fx.put("key" + std::to_string(i), "round" + std::to_string(round));
+      fx.put(numbered("key", i), numbered("round", round));
     }
   }
   ASSERT_TRUE(fx.db->flush(fx.t).ok());
@@ -195,7 +196,7 @@ TEST(DbScanTest, StallAppliesToScans) {
   fx.t = open.done;
   const std::string big(4 << 10, 'z');
   for (int i = 0; i < 100 && !fx.db->flush_pending(); ++i) {
-    auto r = fx.db->put(fx.t, "k" + std::to_string(i), big);
+    auto r = fx.db->put(fx.t, numbered("k", i), big);
     ASSERT_TRUE(r.ok());
     fx.t = r.done;
   }

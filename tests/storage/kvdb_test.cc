@@ -10,6 +10,7 @@
 #include "storage/kvdb/memtable.h"
 #include "storage/kvdb/skiplist.h"
 #include "storage/mem_disk.h"
+#include "numbered.h"
 
 namespace deepnote::storage::kvdb {
 namespace {
@@ -43,7 +44,9 @@ TEST(SkipListTest, OrderedTraversal) {
   std::string prev;
   bool first = true;
   list.for_each([&](std::string_view k, const int&) {
-    if (!first) EXPECT_GE(k, prev);
+    if (!first) {
+      EXPECT_GE(k, prev);
+    }
     prev = std::string(k);
     first = false;
   });
@@ -180,7 +183,7 @@ TEST(DbTest, DeleteHidesKey) {
 TEST(DbTest, GetFromFlushedSst) {
   DbFixture fx;
   for (int i = 0; i < 2000; ++i) {
-    fx.put("key" + std::to_string(i), "value" + std::to_string(i));
+    fx.put(numbered("key", i), numbered("value", i));
   }
   auto fr = fx.db->flush(fx.t);
   ASSERT_TRUE(fr.ok());
@@ -233,8 +236,7 @@ TEST(DbTest, CompactionMergesLevels) {
   DbFixture fx;
   // Enough data to trigger several flushes and at least one compaction.
   for (int i = 0; i < 30000; ++i) {
-    fx.put("key" + std::to_string(i % 5000),
-           "gen" + std::to_string(i / 5000));
+    fx.put(numbered("key", i % 5000), numbered("gen", i / 5000));
   }
   auto fr = fx.db->flush(fx.t);
   ASSERT_TRUE(fr.ok());
@@ -248,7 +250,7 @@ TEST(DbTest, CompactionMergesLevels) {
 TEST(DbTest, TombstonesSurviveFlushAndCompaction) {
   DbFixture fx;
   for (int i = 0; i < 3000; ++i) {
-    fx.put("key" + std::to_string(i), "v");
+    fx.put(numbered("key", i), "v");
   }
   auto r = fx.db->del(fx.t, "key7");
   ASSERT_TRUE(r.ok());
@@ -272,7 +274,7 @@ TEST(DbTest, RecoveryFromWal) {
     Db& db = *open.db;
     t = open.done;
     for (int i = 0; i < 100; ++i) {
-      auto r = db.put(t, "k" + std::to_string(i), "v" + std::to_string(i));
+      auto r = db.put(t, numbered("k", i), numbered("v", i));
       ASSERT_TRUE(r.ok());
       t = r.done;
     }
@@ -305,7 +307,7 @@ TEST(DbTest, RecoveryFromSstsAndWal) {
     Db& db = *open.db;
     t = open.done;
     for (int i = 0; i < 5000; ++i) {
-      auto r = db.put(t, "k" + std::to_string(i), "flushed");
+      auto r = db.put(t, numbered("k", i), "flushed");
       if (r.err == Errno::kEAGAIN || db.flush_pending()) {
         t = db.do_flush(t).done;
         if (r.err == Errno::kEAGAIN) --i;
@@ -314,7 +316,7 @@ TEST(DbTest, RecoveryFromSstsAndWal) {
     }
     // A few unflushed writes in the WAL on top.
     for (int i = 0; i < 10; ++i) {
-      auto r = db.put(t, "fresh" + std::to_string(i), "wal");
+      auto r = db.put(t, numbered("fresh", i), "wal");
       ASSERT_TRUE(r.ok());
       t = r.done;
     }
@@ -336,7 +338,7 @@ TEST(DbTest, RecoveryFromSstsAndWal) {
 TEST(DbTest, FatalOnDeviceFailureDuringFlush) {
   DbFixture fx;
   for (int i = 0; i < 100; ++i) {
-    fx.put("k" + std::to_string(i), std::string(100, 'x'));
+    fx.put(numbered("k", i), std::string(100, 'x'));
   }
   fx.disk.set_failing(true);
   // Force a flush against the dead device.
@@ -356,7 +358,7 @@ TEST(DbTest, WriteStallWhenFlushPending) {
   const std::string big(8 << 10, 'z');
   int eagain = 0;
   for (int i = 0; i < 200; ++i) {
-    auto r = fx.db->put(fx.t, "k" + std::to_string(i), big);
+    auto r = fx.db->put(fx.t, numbered("k", i), big);
     if (r.err == Errno::kEAGAIN) {
       ++eagain;
       break;
@@ -378,7 +380,7 @@ TEST(DbTest, ReadsStallAfterGracePeriod) {
   const std::string big(8 << 10, 'z');
   // Fill one memtable to switch it, then do NOT flush.
   for (int i = 0; i < 100 && !fx.db->flush_pending(); ++i) {
-    auto r = fx.db->put(fx.t, "k" + std::to_string(i), big);
+    auto r = fx.db->put(fx.t, numbered("k", i), big);
     ASSERT_TRUE(r.ok());
     fx.t = r.done;
   }
@@ -398,9 +400,9 @@ TEST(DbTest, RandomizedAgainstStdMap) {
   std::map<std::string, std::string> model;
   sim::Rng rng(2024);
   for (int op = 0; op < 4000; ++op) {
-    const std::string key = "k" + std::to_string(rng.uniform_int(0, 500));
+    const std::string key = numbered("k", rng.uniform_int(0, 500));
     if (rng.bernoulli(0.7)) {
-      const std::string value = "v" + std::to_string(op);
+      const std::string value = numbered("v", op);
       fx.put(key, value);
       model[key] = value;
     } else {
@@ -416,12 +418,14 @@ TEST(DbTest, RandomizedAgainstStdMap) {
     }
   }
   for (int i = 0; i <= 500; ++i) {
-    const std::string key = "k" + std::to_string(i);
+    const std::string key = numbered("k", i);
     bool found = false;
     const std::string value = fx.get(key, &found);
     const auto it = model.find(key);
     ASSERT_EQ(found, it != model.end()) << key;
-    if (found) EXPECT_EQ(value, it->second) << key;
+    if (found) {
+      EXPECT_EQ(value, it->second) << key;
+    }
   }
 }
 

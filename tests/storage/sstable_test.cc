@@ -9,6 +9,7 @@
 #include "sim/rng.h"
 #include "storage/kvdb/bloom.h"
 #include "storage/mem_disk.h"
+#include "numbered.h"
 
 namespace deepnote::storage::kvdb {
 namespace {
@@ -20,18 +21,18 @@ using sim::SimTime;
 
 TEST(BloomTest, NoFalseNegatives) {
   BloomFilter bloom(1000);
-  for (int i = 0; i < 1000; ++i) bloom.add("key" + std::to_string(i));
+  for (int i = 0; i < 1000; ++i) bloom.add(numbered("key", i));
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_TRUE(bloom.may_contain("key" + std::to_string(i))) << i;
+    EXPECT_TRUE(bloom.may_contain(numbered("key", i))) << i;
   }
 }
 
 TEST(BloomTest, LowFalsePositiveRate) {
   BloomFilter bloom(1000);
-  for (int i = 0; i < 1000; ++i) bloom.add("key" + std::to_string(i));
+  for (int i = 0; i < 1000; ++i) bloom.add(numbered("key", i));
   int fp = 0;
   for (int i = 0; i < 10000; ++i) {
-    if (bloom.may_contain("absent" + std::to_string(i))) ++fp;
+    if (bloom.may_contain(numbered("absent", i))) ++fp;
   }
   // 10 bits/key: ~1% expected; allow 3%.
   EXPECT_LT(fp, 300);
@@ -39,13 +40,13 @@ TEST(BloomTest, LowFalsePositiveRate) {
 
 TEST(BloomTest, SerializeRoundTrip) {
   BloomFilter bloom(100);
-  for (int i = 0; i < 100; ++i) bloom.add("x" + std::to_string(i));
+  for (int i = 0; i < 100; ++i) bloom.add(numbered("x", i));
   const auto bytes = bloom.serialize();
   const BloomFilter restored =
       BloomFilter::deserialize(bytes.data(), bytes.size());
   EXPECT_EQ(restored.num_probes(), bloom.num_probes());
   for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(restored.may_contain("x" + std::to_string(i)));
+    EXPECT_TRUE(restored.may_contain(numbered("x", i)));
   }
 }
 
@@ -79,8 +80,7 @@ TEST(SstTest, BuildWriteOpenGet) {
   SstBuilder builder(100);
   // Internal order: ascending user key.
   for (int i = 100; i < 200; ++i) {
-    builder.add("key" + std::to_string(i),
-                put_entry("val" + std::to_string(i), 10));
+    builder.add(numbered("key", i), put_entry(numbered("val", i), 10));
   }
   ASSERT_TRUE(builder.write_to(*fx.fs, fx.t, "/test.sst").ok());
   auto open = SstReader::open(*fx.fs, fx.t, "/test.sst");
@@ -246,8 +246,7 @@ TEST(SstTest, GetReportsMalformedBlockLikeScan) {
   SstFixture fx;
   SstBuilder builder(100);
   for (int i = 0; i < 100; ++i) {
-    builder.add("key" + std::to_string(100 + i),
-                put_entry("val" + std::to_string(i), 7));
+    builder.add(numbered("key", 100 + i), put_entry(numbered("val", i), 7));
   }
   ASSERT_TRUE(builder.write_to(*fx.fs, fx.t, "/bad.sst").ok());
   // The first entry starts the file; its u16 key length comes first.
