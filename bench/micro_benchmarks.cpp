@@ -13,7 +13,6 @@
 #include "core/testbed.h"
 #include "hdd/drive.h"
 #include "hdd/sector_store.h"
-#include "sim/event_queue.h"
 #include "sim/rng.h"
 #include "sim/stats.h"
 #include "sim/task_pool.h"
@@ -38,97 +37,6 @@ static void BM_RngNextDouble(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RngNextDouble);
-
-// The queue persists across iterations, matching how the simulator uses
-// it: one queue, warm, for an entire run. Each iteration schedules a
-// batch of kEventBatch events at scattered times and drains them; the
-// batch is sized to the pending-event depth a live trial sustains
-// (tens of actor daemons and drive/fs timers, not thousands).
-constexpr int kEventBatch = 64;
-static void BM_EventQueueScheduleAndPop(benchmark::State& state) {
-  sim::EventQueue q;
-  std::int64_t base = 0;
-  for (auto _ : state) {
-    for (int i = 0; i < kEventBatch; ++i) {
-      q.schedule(sim::SimTime(base + (i * 7919) % 1009), [] {});
-    }
-    while (!q.empty()) benchmark::DoNotOptimize(q.pop().time);
-    base += 1009;
-  }
-  state.SetItemsProcessed(state.iterations() * kEventBatch);
-}
-BENCHMARK(BM_EventQueueScheduleAndPop);
-
-// Schedule/pop with an actor-sized capture (~40 bytes): the shape every
-// daemon/timeout event in the workload layer has. Small enough for the
-// event kernel's inline callable storage; large enough that
-// std::function would heap-allocate it.
-static void BM_EventQueueScheduleAndPopCapture(benchmark::State& state) {
-  struct Ctx {
-    std::uint64_t a = 1, b = 2;
-    void* p = nullptr;
-    void* q = nullptr;
-  } ctx;
-  std::uint64_t sink = 0;
-  sim::EventQueue q;
-  std::int64_t base = 0;
-  for (auto _ : state) {
-    for (int i = 0; i < kEventBatch; ++i) {
-      q.schedule(sim::SimTime(base + (i * 7919) % 1009),
-                 [ctx, &sink] { sink += ctx.a + ctx.b; });
-    }
-    while (!q.empty()) q.pop().fn();
-    base += 1009;
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations() * kEventBatch);
-}
-BENCHMARK(BM_EventQueueScheduleAndPopCapture);
-
-// Oversized capture (80 bytes): exercises the heap-fallback path of the
-// event callable.
-static void BM_EventQueueLargeCapture(benchmark::State& state) {
-  struct Big {
-    std::uint64_t words[10] = {};
-  } big;
-  big.words[0] = 7;
-  std::uint64_t sink = 0;
-  sim::EventQueue q;
-  std::int64_t base = 0;
-  for (auto _ : state) {
-    for (int i = 0; i < kEventBatch; ++i) {
-      q.schedule(sim::SimTime(base + (i * 7919) % 1009),
-                 [big, &sink] { sink += big.words[0]; });
-    }
-    while (!q.empty()) q.pop().fn();
-    base += 1009;
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations() * kEventBatch);
-}
-BENCHMARK(BM_EventQueueLargeCapture);
-
-// Interleaved schedule/cancel/pop: the pattern the drive's timeout and
-// retry timers produce (most timers are cancelled before they fire).
-static void BM_EventQueueScheduleCancelPop(benchmark::State& state) {
-  std::uint64_t sink = 0;
-  sim::EventQueue q;
-  std::vector<sim::EventId> ids;
-  std::int64_t base = 0;
-  for (auto _ : state) {
-    ids.clear();
-    for (int i = 0; i < kEventBatch; ++i) {
-      ids.push_back(q.schedule(sim::SimTime(base + (i * 7919) % 1009),
-                               [&sink] { ++sink; }));
-    }
-    for (int i = 0; i < kEventBatch; i += 2) q.cancel(ids[static_cast<std::size_t>(i)]);
-    while (!q.empty()) q.pop().fn();
-    base += 1009;
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations() * kEventBatch);
-}
-BENCHMARK(BM_EventQueueScheduleCancelPop);
 
 static void BM_LatencyHistogramAdd(benchmark::State& state) {
   sim::LatencyHistogram h;

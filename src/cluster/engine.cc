@@ -8,7 +8,6 @@ namespace deepnote::cluster {
 const char* health_name(NodeHealth health) {
   switch (health) {
     case NodeHealth::kHealthy: return "healthy";
-    case NodeHealth::kDegraded: return "degraded";
     case NodeHealth::kDrained: return "drained";
   }
   return "?";
@@ -16,16 +15,12 @@ const char* health_name(NodeHealth health) {
 
 namespace {
 
-std::uint8_t health_rank(NodeHealth health) {
-  switch (health) {
-    case NodeHealth::kHealthy: return 0;
-    case NodeHealth::kDegraded: return 1;
-    case NodeHealth::kDrained: return 2;
-  }
-  return 3;
-}
+/// Routing rank: healthy replicas before drained ones.
+constexpr std::uint8_t kDrainedRank = 1;
 
-constexpr std::uint8_t kDrainedRank = 2;
+std::uint8_t health_rank(NodeHealth health) {
+  return health == NodeHealth::kDrained ? kDrainedRank : 0;
+}
 
 }  // namespace
 
@@ -218,12 +213,8 @@ void ShardedClusterEngine::start_run(sim::SimTime start, SloTracker& slo,
   chaos_touched_list_.clear();
 
   breakers_.reset(n, shard_count_, nodes_per_shard_, config_.breaker);
-  brownout_.reset(config_.brownout);
   retry_budget_ = resilience::RetryBudget(config_.serving.retry_budget);
   retry_budget_.reset();
-  brownout_shed_ = 0;
-  epoch_misses_ = 0;
-  epoch_brownout_shed_ = 0;
 
   if (serving()) {
     // Only servers the previous run actually submitted to hold state;
@@ -284,39 +275,17 @@ bool ShardedClusterEngine::step() {
     // the follow-ups (think gaps, retry backoffs) — which may land
     // before the barrier and start another round. Round boundaries are
     // global, so results stay byte-identical at any shard count.
-    const bool browning = brownout_.enabled();
     std::size_t round_lo = 0;
     for (;;) {
       issue_scratch_.clear();
       clients_.collect_due(t1, *zipf_, issue_scratch_);
       if (issue_scratch_.empty()) break;
       for (const ClientIssue& issue : issue_scratch_) {
-        if (browning &&
-            brownout_.should_shed(brownout_.class_of(issue.client))) {
-          // Shed at issue, before routing: the request costs nothing
-          // downstream. The client sees a shed (and may retry through
-          // its backoff), the SLO charges it like any other shed.
-          ++traffic_.requests;
-          if (issue.is_read) {
-            ++traffic_.reads;
-          } else {
-            ++traffic_.writes;
-          }
-          slo_->record_outcome(issue.at, OutcomeKind::kShed);
-          ++brownout_shed_;
-          ++epoch_brownout_shed_;
-          ++shed_requests_;
-          clients_.complete(issue.client, issue.at, OutcomeKind::kShed);
-          continue;
-        }
         const std::uint32_t r =
             push_request(issue.at, issue.key, issue.is_read);
         req_client_[r] = issue.client;
       }
-      // A fully browned-out round emits nothing; the rescheduled
-      // retries (strictly later — backoff base is positive) either land
-      // before t1 and start another round or wait for the next epoch.
-      if (ops_emitted_ > 0) run_waves(round_lo);
+      run_waves(round_lo);
       settle_clients(round_lo);
       round_lo = req_arrival_.size();
     }
@@ -326,13 +295,7 @@ bool ShardedClusterEngine::step() {
   }
   barrier_control(t1);
   account_epoch_slo();
-  if (serving()) {
-    sample_epoch_depth(t1);
-    if (brownout_.enabled()) {
-      brownout_.update(req_arrival_.size() + epoch_brownout_shed_,
-                       epoch_misses_, depth_timeline_.back().depth);
-    }
-  }
+  if (serving()) sample_epoch_depth(t1);
   cursor_ = t1;
   return cursor_ < end_;
 }
@@ -382,8 +345,6 @@ EngineReport ShardedClusterEngine::finish() {
     s.client_retries = config_.serving.closed_loop ? clients_.retries() : 0;
     s.retry_budget_spent = retry_budget_.spent();
     s.retry_budget_denied = retry_budget_.denied();
-    s.brownout_shed = brownout_shed_;
-    s.brownout_escalations = brownout_.escalations();
     const resilience::BreakerBankStats breaker_stats = breakers_.stats();
     s.breaker_opens = breaker_stats.opens + breaker_stats.reopens;
     s.breaker_short_circuits = breaker_stats.short_circuits;
@@ -454,8 +415,6 @@ void ShardedClusterEngine::begin_epoch() {
   std::fill(node_depth_.begin(), node_depth_.end(), 0);
   op_seq_ = 0;
   ops_emitted_ = 0;
-  epoch_misses_ = 0;
-  epoch_brownout_shed_ = 0;
 }
 
 void ShardedClusterEngine::emit(NodeId node, std::uint8_t kind,
@@ -541,9 +500,9 @@ std::uint32_t ShardedClusterEngine::push_request(sim::SimTime arrival,
 
 void ShardedClusterEngine::route_read(std::uint32_t r) {
   ++stats_.reads;
-  // Stable three-bucket ordering against the epoch-start health
-  // snapshot (healthy, degraded, drained; fail-static — a fully
-  // drained set is still attempted).
+  // Stable two-bucket ordering against the epoch-start health
+  // snapshot (healthy before drained, an open breaker counting as
+  // drained; fail-static — a fully drained set is still attempted).
   for (std::size_t i = 1; i < replica_scratch_.size(); ++i) {
     const NodeId id = replica_scratch_[i];
     const std::uint8_t rank = rank_snap_[id];
@@ -1111,8 +1070,7 @@ void ShardedClusterEngine::barrier_control(sim::SimTime t1) {
       next_probe_[id] = probe_issue_[p] + config_.balancer.probe_interval;
     }
   }
-  // Detector -> health control action (drain, or degrade when
-  // auto_drain is off), applied once per barrier. Chaos flap windows
+  // Detector -> drain, applied once per barrier. Chaos flap windows
   // override the detector verdict: kForceDown drains a healthy node as
   // if a (false-positive) alert fired, kSuppress swallows real alerts
   // (false negative) so traffic keeps hitting the sick node.
@@ -1130,15 +1088,10 @@ void ShardedClusterEngine::barrier_control(sim::SimTime t1) {
     if (!detectors_[id].alerted()) continue;
     if (flap == resilience::ChaosFlapMode::kSuppress) continue;
     if (health_[id] != NodeHealth::kHealthy) continue;
-    if (config_.balancer.auto_drain) {
-      health_[id] = NodeHealth::kDrained;
-      ++stats_.drains;
-      next_probe_[id] =
-          detectors_[id].alert_time() + config_.balancer.probe_interval;
-    } else {
-      health_[id] = NodeHealth::kDegraded;
-      ++stats_.degrades;
-    }
+    health_[id] = NodeHealth::kDrained;
+    ++stats_.drains;
+    next_probe_[id] =
+        detectors_[id].alert_time() + config_.balancer.probe_interval;
   }
   // Breaker transitions happen only here, at the single-threaded
   // barrier: wave shards record outcomes into owner-exclusive epoch
@@ -1167,10 +1120,7 @@ void ShardedClusterEngine::account_epoch_slo() {
     switch (outcome) {
       case OutcomeKind::kServed: break;
       case OutcomeKind::kFailed: ++error_requests_; break;
-      case OutcomeKind::kTimedOut:
-        ++timed_out_requests_;
-        ++epoch_misses_;  // feeds the brownout deadline-miss EWMA
-        break;
+      case OutcomeKind::kTimedOut: ++timed_out_requests_; break;
       case OutcomeKind::kShed: ++shed_requests_; break;
       case OutcomeKind::kCancelled: break;  // unreachable for requests
     }

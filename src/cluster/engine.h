@@ -6,8 +6,8 @@
 // per-node detectors (core/detector.h) feed an automatic drain and
 // re-route instead of a report line.
 //
-//  * Reads try replicas in health-ranked placement order (healthy,
-//    degraded, drained; a fully drained set is still tried — fail
+//  * Reads try replicas in health-ranked placement order (healthy
+//    before drained; a fully drained set is still tried — fail
 //    static), failing over on error while a token-bucket failover
 //    budget lasts: a storm of failing primaries must not double the
 //    fleet's load. A read whose primary runs hot (detector
@@ -66,7 +66,6 @@
 #include "cluster/node.h"
 #include "cluster/placement.h"
 #include "cluster/resilience/breaker.h"
-#include "cluster/resilience/brownout.h"
 #include "cluster/resilience/chaos.h"
 #include "cluster/resilience/retry.h"
 #include "cluster/serving/node_server.h"
@@ -77,9 +76,8 @@
 namespace deepnote::cluster {
 
 enum class NodeHealth {
-  kHealthy,   ///< in rotation
-  kDegraded,  ///< detector alerted but routing keeps using the node
-  kDrained,   ///< out of rotation; probed for readmission
+  kHealthy,  ///< in rotation
+  kDrained,  ///< out of rotation; probed for readmission
 };
 
 const char* health_name(NodeHealth health);
@@ -104,8 +102,6 @@ struct BalancerConfig {
   /// what it guards against is unbounded retry amplification.
   double retry_budget_ratio = 0.5;
   double retry_budget_cap = 32.0;
-  /// Drain a node when its detector alerts (false: mark degraded only).
-  bool auto_drain = true;
   /// Drained nodes are probed at this interval...
   sim::Duration probe_interval = sim::Duration::from_millis(250.0);
   /// ...and readmitted when a probe read completes within this bound.
@@ -129,6 +125,8 @@ struct BalancerStats {
   std::uint64_t quorum_losses = 0;
   std::uint64_t deadline_misses = 0;  ///< completed, but too late
   std::uint64_t drains = 0;
+  /// Always 0: nodes are drained, never degraded. Kept for report
+  /// readers that still fold it.
   std::uint64_t degrades = 0;
   std::uint64_t readmits = 0;
   std::uint64_t probes = 0;
@@ -176,8 +174,8 @@ struct ServingReport {
   /// Retry-budget accounting (zero when the budget is disabled).
   std::uint64_t retry_budget_spent = 0;
   std::uint64_t retry_budget_denied = 0;
-  /// Brownout controller: requests shed by priority class, and how many
-  /// times the shed level escalated.
+  /// Always 0: the engine has no brownout controller. Kept for report
+  /// readers that still fold them.
   std::uint64_t brownout_shed = 0;
   std::uint64_t brownout_escalations = 0;
   /// Circuit breakers: closed->open trips and legs denied while open.
@@ -218,13 +216,9 @@ struct EngineConfig {
   /// Async serving front-end (queueing, admission, closed-loop clients).
   ServingModeConfig serving;
   /// Per-replica circuit breakers (serving mode; transitions at epoch
-  /// barriers, open nodes ranked behind drained for routing and denied
-  /// legs fail over instantly).
+  /// barriers, open nodes ranked with drained ones for routing and
+  /// denied legs fail over instantly).
   resilience::BreakerConfig breaker;
-  /// Brownout controller: shed low-priority traffic classes when the
-  /// deadline-miss EWMA or queue depth crosses thresholds (serving
-  /// closed-loop mode).
-  resilience::BrownoutConfig brownout;
 };
 
 struct EngineReport {
@@ -293,7 +287,6 @@ class ShardedClusterEngine {
   void chaos_set_service_scale(NodeId node, double scale);
 
   const resilience::BreakerBank& breakers() const { return breakers_; }
-  const resilience::BrownoutController& brownout() const { return brownout_; }
   const resilience::RetryBudget& retry_budget() const { return retry_budget_; }
 
   /// One queue-depth sample per epoch: the max depth any node's serving
@@ -488,12 +481,7 @@ class ShardedClusterEngine {
 
   // --- resilience state -------------------------------------------------
   resilience::BreakerBank breakers_;
-  resilience::BrownoutController brownout_;
   resilience::RetryBudget retry_budget_;
-  std::uint64_t brownout_shed_ = 0;
-  /// Per-epoch brownout inputs, reset in begin_epoch().
-  std::uint64_t epoch_misses_ = 0;
-  std::uint64_t epoch_brownout_shed_ = 0;
 };
 
 }  // namespace deepnote::cluster

@@ -7,7 +7,6 @@ namespace deepnote::cluster::resilience {
 const char* backoff_kind_name(BackoffKind kind) {
   switch (kind) {
     case BackoffKind::kFixed: return "fixed";
-    case BackoffKind::kLinear: return "linear";
     case BackoffKind::kExponential: return "exponential";
   }
   return "?";
@@ -21,9 +20,6 @@ sim::Duration backoff_delay(const BackoffConfig& config, std::uint32_t attempt,
   double delay_s = base_s;
   switch (config.kind) {
     case BackoffKind::kFixed:
-      break;
-    case BackoffKind::kLinear:
-      delay_s = base_s * static_cast<double>(attempt);
       break;
     case BackoffKind::kExponential: {
       // Once base * 2^k crosses the cap the doubling stops mattering;

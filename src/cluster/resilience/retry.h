@@ -9,8 +9,8 @@
 //
 //  * BackoffConfig shapes the client's re-issue delay. Exponential
 //    growth spreads a storm over time; per-client jitter decorrelates
-//    the waves (a fixed or linear backoff re-synchronizes every client
-//    that failed in the same epoch — the worst possible shape for the
+//    the waves (a fixed backoff re-synchronizes every client that
+//    failed in the same epoch — the worst possible shape for the
 //    measurement this layer exists to study).
 //  * RetryBudget is a cluster-wide token bucket in the style of a load
 //    balancer's retry budget: fresh requests earn fractional tokens,
@@ -32,7 +32,6 @@ namespace deepnote::cluster::resilience {
 
 enum class BackoffKind : std::uint8_t {
   kFixed,        ///< base every attempt (the naive client)
-  kLinear,       ///< base * attempt (the PR 7 shape)
   kExponential,  ///< base * 2^(attempt-1), capped
 };
 
@@ -42,7 +41,7 @@ struct BackoffConfig {
   BackoffKind kind = BackoffKind::kExponential;
   sim::Duration base = sim::Duration::from_millis(5.0);
   /// Upper bound on the pre-jitter delay (exponential growth crosses any
-  /// cap quickly; fixed/linear are clamped too for uniformity).
+  /// cap quickly; fixed is clamped too for uniformity).
   sim::Duration cap = sim::Duration::from_millis(500.0);
   /// Fraction of the delay that is randomized: the delay becomes
   /// d * (1 - jitter + jitter * u), u uniform in [0, 1). 0 = none,

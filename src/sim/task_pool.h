@@ -1,7 +1,7 @@
 // Fixed-size worker pool for independent simulation trials.
 //
 // Every experiment driver in core/ executes a grid of independent,
-// deterministically-seeded trials (one discrete-event simulation per
+// deterministically-seeded trials (one virtual-time simulation per
 // frequency point / distance row / crash victim). The pool fans those
 // closures across a fixed set of host threads; determinism is preserved
 // by construction because each trial carries its own seed (see

@@ -39,6 +39,11 @@ std::uint32_t Ftl::pick_free_block() const {
   return best;
 }
 
+std::uint32_t Ftl::open_blocks() const {
+  return static_cast<std::uint32_t>(
+      std::count(state_.begin(), state_.end(), BlockState::kOpen));
+}
+
 std::uint32_t Ftl::pick_gc_victim() const {
   // Fewest valid pages first (cheapest reclaim); ties go to the
   // LEAST-worn block. An index tie-break here quietly defeats wear
@@ -114,6 +119,14 @@ bool Ftl::ensure_open_block(sim::SimTime& now) {
   // (in_gc_) draws straight from the cushion instead of recursing.
   while (!in_gc_ && free_count_ <= config_.gc_free_threshold) {
     if (!collect_garbage(now)) break;
+  }
+  // Relocation may have opened a block of its own. Keep writing into it
+  // while it has room; close it if relocation filled it. Opening a fresh
+  // block over it would leave it kOpen, never a GC victim, forever.
+  if (open_block_ != kUnmapped) {
+    if (open_next_ < pages_per_block()) return true;
+    state_[open_block_] = BlockState::kClosed;
+    open_block_ = kUnmapped;
   }
   const std::uint32_t block = pick_free_block();
   if (block == kUnmapped) return false;

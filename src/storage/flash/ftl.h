@@ -68,6 +68,8 @@ class Ftl final : public BlockDevice {
   const FtlStats& stats() const { return stats_; }
   const FlashDevice& device() const { return device_; }
   std::uint32_t free_blocks() const { return free_count_; }
+  /// Blocks in the open (being written) state: at most one.
+  std::uint32_t open_blocks() const;
 
  private:
   static constexpr std::uint32_t kUnmapped = 0xFFFFFFFFu;

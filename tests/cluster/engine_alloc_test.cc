@@ -5,7 +5,7 @@
 // performs ZERO heap allocations — traffic generation, routing, wave
 // execution, and combine all recycle flat buffers. This binary
 // overrides the global allocator to count, so it must stay its own
-// test executable (mirrors tests/sim/event_alloc_test.cc).
+// test executable.
 #include <gtest/gtest.h>
 
 #include <atomic>

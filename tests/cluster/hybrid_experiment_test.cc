@@ -1,7 +1,9 @@
 // Hybrid tiering experiment tests: the tentpole headline (the same
 // same-pod attack that collapses a pure-HDD cell leaves the hybrid cell
 // above 99%), the duration axis (longer attacks do not erode it),
-// bit-exact determinism across worker counts, and a golden-CSV pin.
+// bit-exact determinism across worker counts, a golden-CSV pin, and a
+// write-heavy same-pod cell that drives the flash tiers' garbage
+// collector through live-page relocation.
 #include "cluster/hybrid_experiment.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +12,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
+
+#include "cluster/cell.h"
 
 namespace deepnote::cluster {
 namespace {
@@ -154,6 +160,52 @@ TEST(HybridExperiment, GoldenHybridAvailabilityTable) {
   diff_against_golden(
       build_hybrid_availability_table(config, cached_rows()),
       "hybrid_availability.csv");
+}
+
+// 1,000 hybrid nodes (200 pods x 5), same-pod R=3, half writes at
+// 8,000 req/s for 30 s; every third pod insonified at 650 Hz / 140 dB /
+// 1 cm from 10 s to 20 s. Same-pod placement keeps each object's writes
+// on one pod's tiers, so GC victims still hold live pages and
+// relocation opens blocks of its own. The host write must keep using
+// such a block, not abandon it: an abandoned open block is never a GC
+// victim, and that leak ends with garbage collection spinning forever.
+TEST(HybridExperiment, SamePodWriteHeavyCellFinishes) {
+  CellSpec spec;
+  spec.topology = {.pods = 200, .bays_per_pod = 5};
+  spec.node_type = NodeType::kHybrid;
+  spec.policy = PlacementPolicy::kSamePod;
+  spec.replication = 3;
+  spec.traffic.arrival_rate_per_s = 8000.0;
+  spec.traffic.read_fraction = 0.5;
+  spec.warmup = sim::Duration::from_seconds(10.0);
+  spec.attack = sim::Duration::from_seconds(10.0);
+  spec.tail = sim::Duration::from_seconds(10.0);
+  spec.seed = 1;
+  ExperimentCell cell(spec);
+  // The engine takes actions sorted by time: every on before any off.
+  std::vector<TimelineAction> actions;
+  std::vector<TimelineAction> offs;
+  for (std::size_t pod = 0; pod < spec.topology.pods; pod += 3) {
+    std::vector<TimelineAction> on_off =
+        cell.pod_attack(pod, 650.0, 140.0, 0.01);
+    actions.push_back(std::move(on_off[0]));
+    offs.push_back(std::move(on_off[1]));
+  }
+  for (TimelineAction& off : offs) actions.push_back(std::move(off));
+  ShardedClusterEngine engine(cell.cluster.topology(),
+                              cell.cluster.device_pointers(), cell.engine);
+  const EngineReport report =
+      engine.run(sim::SimTime::zero(), cell.slo, std::move(actions));
+
+  EXPECT_GT(report.traffic.writes, 0u);
+  EXPECT_GE(cell.slo.availability(), 0.99);
+  std::uint64_t relocated = 0;
+  for (NodeId id = 0; id < cell.cluster.num_nodes(); ++id) {
+    const storage::Ftl& ftl = cell.cluster.hybrid(id)->ftl();
+    relocated += ftl.stats().relocated_pages;
+    EXPECT_LE(ftl.open_blocks(), 1u) << "node " << id;
+  }
+  EXPECT_GT(relocated, 0u) << "GC never relocated a live page";
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Resilience-layer suite: the retry/backoff/budget primitives, the
-// per-replica circuit breaker state machine, the brownout controller,
-// the deterministic chaos schedule (pure replay from (seed, index)),
-// and engine-level integration — chaos runs byte-identical at any wave
-// parallelism, crashes drain and readmit, flap windows force and
-// suppress the detector, breakers short-circuit, budgets deny, slow
-// nodes trigger hedges whose losers are cancelled.
+// per-replica circuit breaker state machine, the deterministic chaos
+// schedule (pure replay from (seed, index)), and engine-level
+// integration — chaos runs byte-identical at any wave parallelism,
+// crashes drain and readmit, flap windows force and suppress the
+// detector, breakers short-circuit, budgets deny, slow nodes trigger
+// hedges whose losers are cancelled.
 #include "cluster/resilience/retry.h"
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "cluster/engine.h"
 #include "cluster/node.h"
 #include "cluster/resilience/breaker.h"
-#include "cluster/resilience/brownout.h"
 #include "cluster/resilience/chaos.h"
 
 namespace deepnote::cluster::resilience {
@@ -36,12 +35,6 @@ TEST(Backoff, ShapesWithoutJitter) {
   config.kind = BackoffKind::kFixed;
   EXPECT_EQ(backoff_delay(config, 1, 0).ns(), Duration::from_millis(10.0).ns());
   EXPECT_EQ(backoff_delay(config, 7, 0).ns(), Duration::from_millis(10.0).ns());
-
-  config.kind = BackoffKind::kLinear;
-  EXPECT_EQ(backoff_delay(config, 3, 0).ns(), Duration::from_millis(30.0).ns());
-  // Linear is clamped at the cap too.
-  EXPECT_EQ(backoff_delay(config, 50, 0).ns(),
-            Duration::from_millis(200.0).ns());
 
   config.kind = BackoffKind::kExponential;
   EXPECT_EQ(backoff_delay(config, 1, 0).ns(), Duration::from_millis(10.0).ns());
@@ -196,71 +189,6 @@ TEST(Breaker, HalfOpenProbesCloseOrReopen) {
   EXPECT_EQ(bank.stats().reopens, 1u);
   bank.update(SimTime::from_seconds(2.4));
   EXPECT_EQ(bank.state(0), BreakerState::kOpen) << "cooldown must restart";
-}
-
-// --- brownout -------------------------------------------------------------
-
-TEST(Brownout, EscalatesAndClearsWithHysteresis) {
-  BrownoutConfig config;
-  config.enabled = true;
-  config.classes = 4;
-  config.ewma_alpha = 1.0;  // no smoothing: thresholds act immediately
-  config.shed_threshold = 0.2;
-  config.clear_threshold = 0.05;
-  BrownoutController brownout;
-  brownout.reset(config);
-
-  EXPECT_EQ(brownout.shed_classes(), 0u);
-  brownout.update(100, 30, 0);  // 30% misses: escalate
-  EXPECT_EQ(brownout.shed_classes(), 1u);
-  brownout.update(100, 30, 0);
-  EXPECT_EQ(brownout.shed_classes(), 2u);
-  brownout.update(100, 30, 0);
-  // Top class is never shed: escalation saturates at classes - 1.
-  brownout.update(100, 30, 0);
-  EXPECT_EQ(brownout.shed_classes(), 3u);
-  EXPECT_EQ(brownout.escalations(), 3u);
-  EXPECT_TRUE(brownout.should_shed(0));
-  EXPECT_TRUE(brownout.should_shed(2));
-  EXPECT_FALSE(brownout.should_shed(3));
-
-  // Between the thresholds: hold (hysteresis, no flapping).
-  brownout.update(100, 10, 0);
-  EXPECT_EQ(brownout.shed_classes(), 3u);
-  // Below the clear threshold: step down one class per epoch.
-  brownout.update(100, 0, 0);
-  brownout.update(100, 0, 0);
-  brownout.update(100, 0, 0);
-  EXPECT_EQ(brownout.shed_classes(), 0u);
-}
-
-TEST(Brownout, DepthSignalEscalatesWithoutMisses) {
-  BrownoutConfig config;
-  config.enabled = true;
-  config.depth_threshold = 64;
-  BrownoutController brownout;
-  brownout.reset(config);
-  brownout.update(100, 0, 63);
-  EXPECT_EQ(brownout.shed_classes(), 0u);
-  brownout.update(100, 0, 64);
-  EXPECT_EQ(brownout.shed_classes(), 1u);
-}
-
-TEST(Brownout, ClassAssignmentIsStableAndInRange) {
-  BrownoutConfig config;
-  config.enabled = true;
-  config.classes = 4;
-  BrownoutController brownout;
-  brownout.reset(config);
-  std::vector<std::uint64_t> per_class(4, 0);
-  for (std::uint64_t client = 0; client < 4096; ++client) {
-    const std::uint32_t c = brownout.class_of(client);
-    ASSERT_LT(c, 4u);
-    EXPECT_EQ(brownout.class_of(client), c);
-    ++per_class[c];
-  }
-  // splitmix64 spread: no class starves even though ids are sequential.
-  for (const std::uint64_t count : per_class) EXPECT_GT(count, 700u);
 }
 
 // --- chaos schedule -------------------------------------------------------
@@ -595,26 +523,6 @@ TEST(ChaosEngine, RetryBudgetSpendsAndDeniesUnderAttack) {
   EXPECT_GT(run.serving.retry_budget_denied, 0u);
   EXPECT_EQ(run.serving.client_retries, run.serving.retry_budget_spent)
       << "every retry that went out must have spent a token";
-}
-
-// Brownout under saturation: the depth signal escalates, low-priority
-// classes shed at issue, and the top class never does (the controller
-// saturates at classes - 1).
-TEST(ChaosEngine, BrownoutShedsLowPriorityUnderSaturation) {
-  ChaosConfig chaos;
-  chaos.scripted.push_back(
-      {SimTime::from_seconds(0.5), ChaosEventKind::kPodAttackOn, 0, 0.01});
-  chaos.scripted.push_back(
-      {SimTime::from_seconds(1.0), ChaosEventKind::kPodAttackOn, 1, 0.01});
-  EngineConfig config = chaos_engine_config();
-  config.traffic.arrival_rate_per_s = 1200.0;
-  config.serving.clients = 512;
-  config.serving.backoff.retry_failures = true;
-  config.brownout.enabled = true;
-  config.brownout.depth_threshold = 8;
-  const ChaosRunResult run = run_chaos_cell(config, chaos, 0, 1);
-  EXPECT_GT(run.serving.brownout_shed, 0u);
-  EXPECT_GT(run.serving.brownout_escalations, 0u);
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // Allocation accounting for the serving-mode engine loop.
 //
-// The serving pipeline adds per-node event queues, pooled request
-// contexts, closed-loop client state, and the queue-wait / service-time
-// histograms to the hot path. The contract extends the immediate-mode
-// one (engine_alloc_test.cc): once a first run has warmed every arena —
-// context pools, event slabs, the FIFO rings, histogram buckets, the
-// depth timeline — a steady-state serving run performs ZERO heap
+// The serving pipeline adds per-node submit/completion rings, pooled
+// request contexts, closed-loop client state, and the queue-wait /
+// service-time histograms to the hot path. The contract extends the
+// immediate-mode one (engine_alloc_test.cc): once a first run has warmed
+// every arena — context pools, timer slabs, the FIFO rings, histogram
+// buckets, the depth timeline — a steady-state serving run performs ZERO heap
 // allocations. This binary overrides the global allocator to count, so
 // it must stay its own test executable.
 #include <gtest/gtest.h>

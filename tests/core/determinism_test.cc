@@ -84,7 +84,7 @@ TEST(DeterminismTest, RangeFioParallelMatchesSerial) {
 
 TEST(DeterminismTest, RangeKvdbParallelMatchesSerial) {
   // The Table-2 workload (readwhilewriting over the LSM store) exercises
-  // the whole hot path this PR rewrote: event kernel, sector-store runs,
+  // the whole storage hot path: actor interleaving, sector-store runs,
   // WAL/memtable scratch buffers. The reports must stay bit-identical
   // across job counts.
   RangeTest range(ScenarioId::kPlasticTower);

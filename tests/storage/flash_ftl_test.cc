@@ -1,12 +1,15 @@
 // FTL tests: read-your-writes through out-of-place remapping, sub-page
-// read-modify-write, garbage collection under pressure, TRIM, and the
+// read-modify-write, garbage collection under pressure, TRIM, the
 // wear-leveling distribution property — hot traffic must spread erases
-// across the whole device, keeping the max-min wear spread bounded.
+// across the whole device, keeping the max-min wear spread bounded —
+// and the open-block property: GC relocation never leaks a block.
 #include "storage/flash/ftl.h"
 
 #include <gtest/gtest.h>
 
 #include <vector>
+
+#include "sim/rng.h"
 
 namespace deepnote::storage {
 namespace {
@@ -205,6 +208,50 @@ TEST(FtlTest, WearLevelingBoundsTheEraseSpread) {
   EXPECT_GT(min, 0u) << "some block never recycled: leveling failed";
   EXPECT_LE(max - min, 4u) << "wear concentrated: min=" << min
                            << " max=" << max;
+}
+
+// Open-block property: however GC relocation interleaves with host
+// writes, at most one block is ever open. A block GC relocation opened
+// and the host write then abandoned stays kOpen, which is never a GC
+// victim; blocks leak that way until every closed block is nearly fully
+// valid and GC spins without freeing one. Uniform random single-page
+// overwrites at three over-provisioning levels leave live pages in
+// every victim, so relocation opens blocks from the second GC run on.
+// Every stream must also finish in fewer GC runs than host writes.
+TEST(FtlTest, RandomOverwritesNeverLeakAnOpenBlock) {
+  constexpr int kWrites = 100000;
+  FlashConfig flash_config;
+  flash_config.blocks = 64;
+  flash_config.retain_data = false;
+  for (const std::uint32_t reserved : {4u, 8u, 16u}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "reserved " << reserved << ", seed " << seed);
+      FlashDevice flash(flash_config);
+      FtlConfig config;
+      config.reserved_blocks = reserved;
+      Ftl ftl(flash, config);
+      const std::uint32_t psec = flash_config.page_sectors;
+      const std::int64_t pages =
+          static_cast<std::int64_t>(ftl.total_sectors() / psec);
+      const std::vector<std::byte> page(psec * kBlockSectorSize);
+      sim::Rng rng(seed);
+      SimTime now = SimTime::zero();
+      for (int i = 0; i < kWrites; ++i) {
+        const auto lp =
+            static_cast<std::uint64_t>(rng.uniform_int(0, pages - 1));
+        const BlockIo io = ftl.write(now, lp * psec, psec, page);
+        ASSERT_TRUE(io.ok()) << "write " << i;
+        now = io.complete;
+        ASSERT_LE(ftl.open_blocks(), 1u)
+            << "write " << i << ", GC run " << ftl.stats().gc_runs;
+      }
+      EXPECT_GT(ftl.stats().relocated_pages, 0u)
+          << "workload never exercised live-page relocation";
+      EXPECT_LT(ftl.stats().gc_runs, static_cast<std::uint64_t>(kWrites));
+      EXPECT_EQ(flash.stats().discipline_errors, 0u);
+    }
+  }
 }
 
 }  // namespace
