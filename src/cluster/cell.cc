@@ -45,7 +45,6 @@ std::vector<TimelineAction> ExperimentCell::pod_attack(std::size_t pod,
   attack.spl_air_db = spl_air_db;
   attack.distance_m = distance_m;
   attack.start = attack_on;
-  attack.end = attack_off;
   Cluster* target = &cluster;
   std::vector<TimelineAction> actions;
   actions.push_back({attack_on, [target, pod, attack](sim::SimTime t) {

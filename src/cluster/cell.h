@@ -50,8 +50,8 @@ struct ExperimentCell {
   ExperimentCell(const ExperimentCell&) = delete;
   ExperimentCell& operator=(const ExperimentCell&) = delete;
 
-  /// Insonify `pod` for the attack window: on at attack_on, off at
-  /// attack_off (the direct lowering; chaos schedules build their own).
+  /// Insonify `pod` for the attack window: returns the on-action at
+  /// attack_on, then the off-action at attack_off.
   std::vector<TimelineAction> pod_attack(std::size_t pod, double frequency_hz,
                                          double spl_air_db,
                                          double distance_m);

@@ -290,7 +290,7 @@ bool ShardedClusterEngine::step() {
       round_lo = req_arrival_.size();
     }
   } else {
-    generate_and_route(t0, t1);
+    generate_and_route(t1);
     if (ops_emitted_ > 0) run_waves(0);
   }
   barrier_control(t1);
@@ -445,9 +445,7 @@ void ShardedClusterEngine::schedule_probes(sim::SimTime t0, sim::SimTime t1) {
   }
 }
 
-void ShardedClusterEngine::generate_and_route(sim::SimTime t0,
-                                              sim::SimTime t1) {
-  (void)t0;
+void ShardedClusterEngine::generate_and_route(sim::SimTime t1) {
   while (next_arrival_ < t1) {
     const sim::SimTime arrival = next_arrival_;
     next_arrival_ = arrival + sim::Duration::from_seconds(
@@ -920,31 +918,7 @@ void ShardedClusterEngine::combine_wave0(std::size_t first_req) {
         next_pending_.push_back(r);
         continue;
       }
-      const bool k0 = leg_ok_[base] != 0;
-      const bool k1 = leg_ok_[base + 1] != 0;
-      const sim::SimTime c0 = leg_complete_[base];
-      const sim::SimTime c1 = leg_complete_[base + 1];
-      const bool ok0 = k0 && c0 <= deadline;
-      const bool ok1 = k1 && c1 <= deadline;
-      if (ok0 || ok1) {
-        req_ok_[r] = 1;
-        req_complete_[r] = ok0 && (!ok1 || c0 <= c1) ? c0 : c1;
-        if (!ok0 || (ok1 && c1 < c0)) ++stats_.hedge_wins;
-        continue;
-      }
-      if ((k0 && c0 > deadline) || (k1 && c1 > deadline)) {
-        ++stats_.deadline_misses;
-      }
-      if (classify) {
-        note_fail_kind(r, k0 ? static_cast<std::uint8_t>(OutcomeKind::kTimedOut)
-                             : leg_outcome_[base]);
-        note_fail_kind(r, k1 ? static_cast<std::uint8_t>(OutcomeKind::kTimedOut)
-                             : leg_outcome_[base + 1]);
-      }
-      // Both hedge legs failed: fail over from the third replica,
-      // starting when the earlier leg reported.
-      req_t_[r] = sim::min(c0, c1);
-      try_emit_failover(r);
+      settle_hedge(r);  // immediate mode ran both legs in this wave
       continue;
     }
     const bool k0 = leg_ok_[base] != 0;
@@ -967,6 +941,36 @@ void ShardedClusterEngine::combine_wave0(std::size_t first_req) {
   }
 }
 
+void ShardedClusterEngine::settle_hedge(std::uint32_t r) {
+  const sim::SimTime deadline = deadline_of(r);
+  const std::size_t base = static_cast<std::size_t>(r) * leg_stride_;
+  const bool k0 = leg_ok_[base] != 0;
+  const bool k1 = leg_ok_[base + 1] != 0;
+  const sim::SimTime c0 = leg_complete_[base];
+  const sim::SimTime c1 = leg_complete_[base + 1];
+  const bool ok0 = k0 && c0 <= deadline;
+  const bool ok1 = k1 && c1 <= deadline;
+  if (ok0 || ok1) {
+    req_ok_[r] = 1;
+    req_complete_[r] = ok0 && (!ok1 || c0 <= c1) ? c0 : c1;
+    if (!ok0 || (ok1 && c1 < c0)) ++stats_.hedge_wins;
+    return;
+  }
+  if ((k0 && c0 > deadline) || (k1 && c1 > deadline)) {
+    ++stats_.deadline_misses;
+  }
+  if (serving()) {
+    note_fail_kind(r, k0 ? static_cast<std::uint8_t>(OutcomeKind::kTimedOut)
+                         : leg_outcome_[base]);
+    note_fail_kind(r, k1 ? static_cast<std::uint8_t>(OutcomeKind::kTimedOut)
+                         : leg_outcome_[base + 1]);
+  }
+  // Both hedge legs failed: fail over from the third replica, starting
+  // when the earlier leg reported.
+  req_t_[r] = sim::min(c0, c1);
+  try_emit_failover(r);
+}
+
 void ShardedClusterEngine::combine_failover_wave() {
   const bool classify = serving();
   for (const std::uint32_t r : pending_) {
@@ -977,27 +981,7 @@ void ShardedClusterEngine::combine_failover_wave() {
       // combine immediate mode does in wave 0. Mark the hedge settled
       // so a further failover of this request takes the single-leg path.
       req_hedged_[r] = 2;
-      const bool k0 = leg_ok_[base] != 0;
-      const bool k1 = leg_ok_[base + 1] != 0;
-      const sim::SimTime c0 = leg_complete_[base];
-      const sim::SimTime c1 = leg_complete_[base + 1];
-      const bool ok0 = k0 && c0 <= deadline;
-      const bool ok1 = k1 && c1 <= deadline;
-      if (ok0 || ok1) {
-        req_ok_[r] = 1;
-        req_complete_[r] = ok0 && (!ok1 || c0 <= c1) ? c0 : c1;
-        if (!ok0 || (ok1 && c1 < c0)) ++stats_.hedge_wins;
-        continue;
-      }
-      if ((k0 && c0 > deadline) || (k1 && c1 > deadline)) {
-        ++stats_.deadline_misses;
-      }
-      note_fail_kind(r, k0 ? static_cast<std::uint8_t>(OutcomeKind::kTimedOut)
-                           : leg_outcome_[base]);
-      note_fail_kind(r, k1 ? static_cast<std::uint8_t>(OutcomeKind::kTimedOut)
-                           : leg_outcome_[base + 1]);
-      req_t_[r] = sim::min(c0, c1);
-      try_emit_failover(r);
+      settle_hedge(r);
       continue;
     }
     const bool ok = leg_ok_[base] != 0;

@@ -326,7 +326,7 @@ class ShardedClusterEngine {
   void snapshot_control_state();
   void begin_epoch();
   void schedule_probes(sim::SimTime t0, sim::SimTime t1);
-  void generate_and_route(sim::SimTime t0, sim::SimTime t1);
+  void generate_and_route(sim::SimTime t1);
   std::uint32_t push_request(sim::SimTime arrival, std::uint64_t key,
                              bool is_read);
   void route_read(std::uint32_t r);
@@ -340,6 +340,9 @@ class ShardedClusterEngine {
   void run_waves(std::size_t first_req);
   void combine_wave0(std::size_t first_req);
   void combine_failover_wave();
+  /// Both legs of a hedged read have run: settle on the earlier timely
+  /// leg, or fail over to the next replica.
+  void settle_hedge(std::uint32_t r);
   void try_emit_failover(std::uint32_t r);
   void fail_read(std::uint32_t r);
   void combine_write(std::uint32_t r);

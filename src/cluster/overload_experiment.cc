@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "cluster/cell.h"
-#include "cluster/resilience/chaos.h"
 #include "sim/trial_runner.h"
 
 namespace deepnote::cluster {
@@ -160,26 +159,21 @@ OverloadTrialRow run_overload_cell(const OverloadExperimentConfig& config,
   ShardedClusterEngine engine(cell.cluster.topology(),
                               cell.cluster.device_pointers(), cell.engine);
 
-  // The attack rides the chaos schedule: scripted pod pulses, lowered
-  // onto epoch barriers exactly like randomized chaos would be.
-  resilience::ChaosConfig chaos;
-  chaos.nodes = cell.cluster.topology().nodes();
-  chaos.pods = cell.cluster.topology().pods;
-  chaos.pulse_frequency_hz = config.frequency_hz;
-  chaos.pulse_spl_air_db = config.spl_air_db;
+  // Every attacked pod goes on at attack_on and off at attack_off. The
+  // engine takes its actions sorted by time, so all the on-actions come
+  // first, then all the off-actions.
+  std::vector<TimelineAction> actions;
+  std::vector<TimelineAction> offs;
   for (const std::size_t pod : config.attacked_pods) {
-    chaos.scripted.push_back(
-        {cell.attack_on, resilience::ChaosEventKind::kPodAttackOn,
-         static_cast<std::uint32_t>(pod), config.attack_distance_m});
-    chaos.scripted.push_back({cell.attack_off,
-                              resilience::ChaosEventKind::kPodAttackOff,
-                              static_cast<std::uint32_t>(pod), 0.0});
+    std::vector<TimelineAction> pulse =
+        cell.pod_attack(pod, config.frequency_hz, config.spl_air_db,
+                        config.attack_distance_m);
+    actions.push_back(std::move(pulse[0]));
+    offs.push_back(std::move(pulse[1]));
   }
-  const std::vector<resilience::ChaosEvent> schedule =
-      resilience::make_chaos_schedule(chaos, cell_seed, 2);
-  const EngineReport report = engine.run(
-      sim::SimTime::zero(), cell.slo,
-      resilience::chaos_actions(schedule, engine, cell.cluster, chaos));
+  for (TimelineAction& off : offs) actions.push_back(std::move(off));
+  const EngineReport report =
+      engine.run(sim::SimTime::zero(), cell.slo, std::move(actions));
   return make_overload_row(config, policy, breaker_on, attack, report,
                            cell.slo);
 }

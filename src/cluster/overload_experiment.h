@@ -15,10 +15,10 @@
 //
 // The grid sweeps retry policy x circuit breakers x attack duration,
 // measuring goodput inside the attack window, after it, and the time
-// from attack-off to the first healthy SLO window. The attack itself is
-// injected through the chaos schedule (scripted pod pulses lowered onto
-// the engine's epoch barriers), so the golden table also pins the chaos
-// path end to end.
+// from attack-off to the first healthy SLO window. The attack is lowered
+// like every other grid's, through ExperimentCell::pod_attack: each
+// attacked pod goes on at attack-on and off at attack-off, on the
+// engine's epoch barriers.
 #pragma once
 
 #include <cstdint>
@@ -124,7 +124,7 @@ struct OverloadTrialRow {
   std::uint64_t drains = 0;
 };
 
-/// One grid cell: an independent engine run (chaos-scripted attack,
+/// One grid cell: an independent engine run (scripted pod attack,
 /// serving mode, closed-loop clients), seeded from `cell_seed`.
 OverloadTrialRow run_overload_cell(const OverloadExperimentConfig& config,
                                    OverloadPolicy policy, bool breaker_on,

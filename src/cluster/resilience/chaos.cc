@@ -202,7 +202,6 @@ std::vector<TimelineAction> chaos_actions(const std::vector<ChaosEvent>& events,
         attack.spl_air_db = config.pulse_spl_air_db;
         attack.distance_m = magnitude;
         attack.start = event.at;
-        attack.end = sim::SimTime::infinity();
         actions.push_back({event.at, [clu, target, attack](sim::SimTime t) {
                              clu->apply_attack(target, t, attack);
                            }});

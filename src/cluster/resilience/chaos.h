@@ -100,7 +100,7 @@ struct ChaosConfig {
   double pulse_spl_air_db = 140.0;
 
   /// Explicit extra events appended after generation (deterministic
-  /// scripted faults, e.g. the overload experiment's attack pulses).
+  /// scripted faults, e.g. a fixed node crash or pod attack pulse).
   std::vector<ChaosEvent> scripted;
 };
 

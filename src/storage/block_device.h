@@ -17,15 +17,14 @@ enum class BlockStatus {
   kIoError,  ///< the command ultimately failed (buffer I/O error)
 };
 
-/// The command kinds a BlockDevice serves. Fault injectors select
+/// The host command kinds a BlockDevice serves. Fault injectors select
 /// victims by kind (e.g. "fail writes only") and report failures by kind.
-/// kErase only does real work on erase-block media (flash); other
-/// devices treat it as a TRIM-like hint.
+/// BlockDevice::erase is not among them: it is a device-internal
+/// command (the FTL erases NAND blocks through it), not a host op.
 enum class DiskOpKind : std::uint8_t {
   kRead,
   kWrite,
   kFlush,
-  kErase,
 };
 
 const char* disk_op_name(DiskOpKind kind);
@@ -35,15 +34,13 @@ namespace fault_ops {
 inline constexpr unsigned kReads = 1u << 0;
 inline constexpr unsigned kWrites = 1u << 1;
 inline constexpr unsigned kFlushes = 1u << 2;
-inline constexpr unsigned kErases = 1u << 3;
-inline constexpr unsigned kAll = kReads | kWrites | kFlushes | kErases;
+inline constexpr unsigned kAll = kReads | kWrites | kFlushes;
 
 constexpr unsigned mask_of(DiskOpKind kind) {
   switch (kind) {
     case DiskOpKind::kRead: return kReads;
     case DiskOpKind::kWrite: return kWrites;
     case DiskOpKind::kFlush: return kFlushes;
-    case DiskOpKind::kErase: return kErases;
   }
   return 0;
 }

@@ -9,7 +9,6 @@ const char* disk_op_name(DiskOpKind kind) {
     case DiskOpKind::kRead: return "read";
     case DiskOpKind::kWrite: return "write";
     case DiskOpKind::kFlush: return "flush";
-    case DiskOpKind::kErase: return "erase";
   }
   return "op?";
 }

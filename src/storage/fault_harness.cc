@@ -1,6 +1,5 @@
 #include "storage/fault_harness.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "sim/trial_runner.h"
@@ -13,7 +12,6 @@ const char* fault_variant_name(FaultVariant v) {
     case FaultVariant::kTorn: return "torn cut";
     case FaultVariant::kReorder: return "reordered-cache cut";
     case FaultVariant::kEio: return "eio burst";
-    case FaultVariant::kEraseInterrupt: return "interrupted erase";
   }
   return "variant?";
 }
@@ -50,11 +48,6 @@ FaultPlan FaultSchedule::plan(std::uint32_t cache_window) const {
       p.eio_period = 0;
       p.eio_ops = fault_ops::kWrites | fault_ops::kFlushes;
       break;
-    case FaultVariant::kEraseInterrupt:
-      // cut_write counts erases for this variant: the Nth erase is
-      // interrupted (block reads back stale or garbage, seeded).
-      p.cut_at_erase = cut_write;
-      break;
   }
   return p;
 }
@@ -62,8 +55,7 @@ FaultPlan FaultSchedule::plan(std::uint32_t cache_window) const {
 std::string FaultSchedule::describe() const {
   std::ostringstream os;
   os << "schedule " << index << " (seed 0x" << std::hex << base_seed
-     << std::dec << "): " << fault_variant_name(variant) << " at "
-     << (variant == FaultVariant::kEraseInterrupt ? "erase " : "write ")
+     << std::dec << "): " << fault_variant_name(variant) << " at write "
      << cut_write;
   return os.str();
 }
@@ -99,7 +91,6 @@ bool variant_enabled(FaultVariant v, const ExploreOptions& options) {
     case FaultVariant::kTorn: return options.torn_writes;
     case FaultVariant::kReorder: return options.reorder;
     case FaultVariant::kEio: return options.eio_bursts;
-    case FaultVariant::kEraseInterrupt: return options.erase_interrupts;
   }
   return false;
 }
@@ -117,7 +108,6 @@ ExploreReport explore(const WorkloadFactory& factory,
     auto benign = factory();
     benign->run(FaultPlan{});
     report.write_count = benign->faulted_writes();
-    report.erase_count = benign->faulted_erases();
     CheckResult c = benign->check();
     if (!c.passed) {
       report.benign_failure = c.detail;
@@ -127,18 +117,11 @@ ExploreReport explore(const WorkloadFactory& factory,
 
   std::vector<std::uint64_t> indices;
   indices.reserve(report.write_count * kNumFaultVariants);
-  const std::uint64_t cuts = std::max(report.write_count, report.erase_count);
-  for (std::uint64_t cut = 0; cut < cuts; ++cut) {
+  for (std::uint64_t cut = 0; cut < report.write_count; ++cut) {
     for (std::uint32_t v = 0; v < kNumFaultVariants; ++v) {
-      const auto variant = static_cast<FaultVariant>(v);
-      if (!variant_enabled(variant, options)) continue;
-      // The cut index counts erases for the erase variant and writes for
-      // everything else; enumerate each variant only over its own space.
-      const std::uint64_t space = variant == FaultVariant::kEraseInterrupt
-                                      ? report.erase_count
-                                      : report.write_count;
-      if (cut >= space) continue;
-      indices.push_back(cut * kNumFaultVariants + v);
+      if (variant_enabled(static_cast<FaultVariant>(v), options)) {
+        indices.push_back(cut * kNumFaultVariants + v);
+      }
     }
   }
   report.schedules_run = indices.size();

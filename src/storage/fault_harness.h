@@ -6,15 +6,13 @@
 // for RAID — see fault_workloads.h for the built-ins).
 //
 // The explorer first runs the workload benignly to learn its device
-// write count W (and erase count E on erase-block media), then
-// enumerates every (cut point, fault variant) schedule — littlefs-style:
-// "re-run the workload with a power cut at every write boundary" —
-// fanned across the task pool. Schedules are pure functions of
-// (base seed, schedule index):
+// write count W, then enumerates every (cut point, fault variant)
+// schedule — littlefs-style: "re-run the workload with a power cut at
+// every write boundary" — fanned across the task pool. Schedules are
+// pure functions of (base seed, schedule index):
 //
-//     index = cut * 5 + variant        (variant: 0 clean, 1 torn,
-//                                       2 reorder, 3 eio-burst,
-//                                       4 erase-interrupt)
+//     index = cut * 4 + variant        (variant: 0 clean, 1 torn,
+//                                       2 reorder, 3 eio-burst)
 //     plan.seed = sim::trial_seed(base_seed, index)
 //
 // so a failure logged as (seed, index) replays exactly with
@@ -56,10 +54,6 @@ class CrashWorkload {
   virtual void run(const FaultPlan& plan) = 0;
   /// Write attempts the faulted device saw during the last run().
   virtual std::uint64_t faulted_writes() const = 0;
-  /// Erase attempts the faulted device saw during the last run(). Sizes
-  /// the interrupted-erase schedule space; 0 (the default, for media
-  /// without erase blocks) disables that variant for the workload.
-  virtual std::uint64_t faulted_erases() const { return 0; }
   /// Post-crash invariants over the durable state.
   virtual CheckResult check() = 0;
 };
@@ -68,14 +62,13 @@ class CrashWorkload {
 using WorkloadFactory = std::function<std::unique_ptr<CrashWorkload>()>;
 
 enum class FaultVariant : std::uint8_t {
-  kClean = 0,          ///< power cut, whole write lost
-  kTorn = 1,           ///< power cut, sector-prefix of the write persists
-  kReorder = 2,        ///< power cut under a volatile write cache
-  kEio = 3,            ///< transient EIO burst, no cut
-  kEraseInterrupt = 4, ///< power cut mid-erase; block stale or garbage
+  kClean = 0,    ///< power cut, whole write lost
+  kTorn = 1,     ///< power cut, sector-prefix of the write persists
+  kReorder = 2,  ///< power cut under a volatile write cache
+  kEio = 3,      ///< transient EIO burst, no cut
 };
 
-inline constexpr std::uint32_t kNumFaultVariants = 5;
+inline constexpr std::uint32_t kNumFaultVariants = 4;
 
 const char* fault_variant_name(FaultVariant v);
 
@@ -83,9 +76,7 @@ const char* fault_variant_name(FaultVariant v);
 struct FaultSchedule {
   std::uint64_t base_seed = 0;
   std::uint64_t index = 0;
-  /// index / kNumFaultVariants — the Nth write for the write-cut
-  /// variants, the Nth erase for kEraseInterrupt.
-  std::uint64_t cut_write = 0;
+  std::uint64_t cut_write = 0;  ///< index / kNumFaultVariants
   FaultVariant variant = FaultVariant::kClean;
 
   FaultPlan plan(std::uint32_t cache_window) const;
@@ -101,10 +92,6 @@ struct ExploreOptions {
   bool torn_writes = true;   ///< include FaultVariant::kTorn
   bool reorder = true;       ///< include FaultVariant::kReorder
   bool eio_bursts = true;    ///< include FaultVariant::kEio
-  /// Include FaultVariant::kEraseInterrupt — only enumerated up to the
-  /// benign run's erase count, so workloads that never erase (plain
-  /// disks) get no erase schedules at all.
-  bool erase_interrupts = true;
   std::uint32_t cache_window = 8;  ///< reorder-variant cache size
   unsigned jobs = 0;  ///< task-pool width; 0 = $DEEPNOTE_JOBS / all cores
 };
@@ -116,7 +103,6 @@ struct ScheduleFailure {
 
 struct ExploreReport {
   std::uint64_t write_count = 0;     ///< writes in the benign run
-  std::uint64_t erase_count = 0;     ///< erases in the benign run
   std::uint64_t schedules_run = 0;
   std::string benign_failure;        ///< non-empty: oracle broken, no crash
   std::vector<ScheduleFailure> failures;

@@ -136,45 +136,7 @@ BlockIo FaultyDisk::write(sim::SimTime now, std::uint64_t lba,
 BlockIo FaultyDisk::erase(sim::SimTime now, std::uint64_t lba,
                           std::uint32_t sector_count) {
   ++ops_seen_;
-  const std::uint64_t eindex = erases_seen_++;
-  if (dead_) {
-    record_failure(DiskOpKind::kErase, lba, sector_count);
-    return BlockIo{BlockStatus::kIoError, now};
-  }
-  if (plan_.cut_at_erase && eindex == *plan_.cut_at_erase) {
-    // Interrupted erase: the power event catches the block mid-erase.
-    // Two physically plausible outcomes, seeded: the erase pulse never
-    // bit (the old contents read back stale), or the block cleared and a
-    // seeded garbage prefix got burned before the charge pump died.
-    // Either way the volatile cache behaves as in any power cut.
-    for (auto& cw : cache_) {
-      if (rng_.bernoulli(0.5)) {
-        inner_.write(now, cw.lba,
-                     static_cast<std::uint32_t>(cw.data.size() /
-                                                kBlockSectorSize),
-                     cw.data);
-      }
-    }
-    cache_.clear();
-    if (rng_.bernoulli(0.5)) {
-      inner_.erase(now, lba, sector_count);
-      const auto junk_sectors = static_cast<std::uint32_t>(
-          rng_.uniform_int(1, sector_count));
-      std::vector<std::byte> junk(
-          static_cast<std::size_t>(junk_sectors) * kBlockSectorSize);
-      for (auto& b : junk) {
-        b = static_cast<std::byte>(rng_.uniform_int(0, 255));
-      }
-      inner_.write(now, lba, junk_sectors, junk);
-    }
-    dead_ = true;
-    record_failure(DiskOpKind::kErase, lba, sector_count);
-    return BlockIo{BlockStatus::kIoError, now};
-  }
-  if (eio_hit(DiskOpKind::kErase)) {
-    record_failure(DiskOpKind::kErase, lba, sector_count);
-    return BlockIo{BlockStatus::kIoError, now};
-  }
+  if (dead_) return BlockIo{BlockStatus::kIoError, now};
   return inner_.erase(now, lba, sector_count);
 }
 

@@ -40,12 +40,6 @@ struct FaultPlan {
   /// The cut write fails; the device is dead afterwards until revive().
   std::optional<std::uint64_t> cut_at_write;
 
-  /// Power-cut at the Nth erase attempt (0-based). An interrupted erase
-  /// leaves the block in a seeded in-between state — either the old
-  /// contents survive (erase never bit) or a seeded garbage prefix is
-  /// burned over a now-cleared block — and the device goes dead.
-  std::optional<std::uint64_t> cut_at_erase;
-
   /// When cut: persist a seeded sector-aligned prefix of the cut write
   /// (0 <= prefix < sector_count) instead of dropping it whole.
   bool tear_cut_write = false;
@@ -66,8 +60,7 @@ struct FaultPlan {
   unsigned eio_ops = fault_ops::kAll;
 
   bool any_fault() const {
-    return cut_at_write.has_value() || cut_at_erase.has_value() ||
-           eio_len > 0 || cache_window > 0;
+    return cut_at_write.has_value() || eio_len > 0 || cache_window > 0;
   }
 };
 
@@ -86,6 +79,8 @@ class FaultyDisk final : public BlockDevice {
                 std::uint32_t sector_count,
                 std::span<const std::byte> in) override;
   BlockIo flush(sim::SimTime now) override;
+  /// Forwarded to the inner device until the cut fires, then fails like
+  /// every other command. Erases are not a fault target.
   BlockIo erase(sim::SimTime now, std::uint64_t lba,
                 std::uint32_t sector_count) override;
 
@@ -99,9 +94,6 @@ class FaultyDisk final : public BlockDevice {
   /// Write attempts seen so far (including failed ones) — the exhaustive
   /// explorer sizes its schedule space from a benign run's count.
   std::uint64_t writes_seen() const { return writes_seen_; }
-  /// Erase attempts seen so far — sizes the interrupted-erase schedule
-  /// space the same way writes_seen() sizes the write-cut space.
-  std::uint64_t erases_seen() const { return erases_seen_; }
   std::uint64_t ops_seen() const { return ops_seen_; }
   /// The first command the plan failed, for shrink reports.
   const std::optional<FailedOp>& first_failure() const {
@@ -128,7 +120,6 @@ class FaultyDisk final : public BlockDevice {
   sim::Rng rng_;
   bool dead_ = false;
   std::uint64_t writes_seen_ = 0;
-  std::uint64_t erases_seen_ = 0;
   std::uint64_t ops_seen_ = 0;
   std::uint64_t eio_matched_ = 0;
   std::deque<CachedWrite> cache_;

@@ -1,12 +1,12 @@
 // Simulated NAND flash device: erase-block geometry, program/erase
 // latency asymmetry, per-block wear counters.
 //
-// The model enforces the NAND programming discipline the CoW metadata
-// layer (commit_log.h) and the FTL (ftl.h) are built around: a page may
-// be programmed once after each erase of its block, erases work on whole
-// blocks only, and erased bytes read back 0xFF. Violations complete with
-// an I/O error and are counted, so a layering bug shows up as a loud
-// test failure instead of silently corrupting state.
+// The model enforces the NAND programming discipline the FTL (ftl.h)
+// is built around: a page may be programmed once after each erase of
+// its block, erases work on whole blocks only, and erased bytes read
+// back 0xFF. Violations complete with an I/O error and are counted, so
+// a layering bug shows up as a loud test failure instead of silently
+// corrupting state.
 //
 // Acoustic interference is an HDD-specific failure mode — there is no
 // spinning medium here to disturb — which is exactly why the hybrid

@@ -20,8 +20,8 @@
 // physical pages become stale for GC) with no device command issued.
 //
 // The mapping tables live in controller RAM (volatile): this layer is
-// for wear and timing realism, not crash consistency — durable metadata
-// belongs to the commit log (commit_log.h).
+// for wear and timing realism, not crash consistency — nothing persists
+// the map, so a power cut loses it.
 #pragma once
 
 #include <cstdint>

@@ -85,9 +85,9 @@ TEST(Contract, ClusterAvailability1k) {
 
 // The governed + breaker corner of the overload grid, scaled from the
 // golden 15-node grid to `pods` x 5 bays. Two thirds of the pods are
-// pulsed for 5 s through the chaos schedule, enough to break every
-// cross-pod write quorum. `load` scales the offered pressure relative to
-// the grid's ~70% fleet utilization; 1.0 reproduces the grid's margin.
+// attacked for 5 s, enough to break every cross-pod write quorum.
+// `load` scales the offered pressure relative to the grid's ~70% fleet
+// utilization; 1.0 reproduces the grid's margin.
 OverloadTrialRow run_overload_recovery(std::size_t pods, double scale,
                                        double load) {
   OverloadExperimentConfig config = overload_experiment_config(scale);

@@ -99,7 +99,7 @@ TEST(OverloadExperiment, GovernanceTelemetryExplainsTheRecovery) {
             overload_experiment_config(kScale).queue_limit);
 }
 
-// One cell, wave-parallel vs inline: the chaos-scripted attack, the
+// One cell, wave-parallel vs inline: the scripted pod attack, the
 // breakers, the budget and the closed-loop retry jitter all land
 // byte-identically regardless of DEEPNOTE_JOBS.
 TEST(OverloadExperiment, CellIsBitIdenticalAcrossEngineJobs) {

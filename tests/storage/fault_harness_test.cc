@@ -113,10 +113,10 @@ WorkloadFactory factory_of() {
 }
 
 TEST(FaultScheduleTest, IndexEncodesCutAndVariant) {
-  const FaultSchedule s = schedule_at(0x5eed, 5 * 9 + 2);
+  const FaultSchedule s = schedule_at(0x5eed, kNumFaultVariants * 9 + 2);
   EXPECT_EQ(s.cut_write, 9u);
   EXPECT_EQ(s.variant, FaultVariant::kReorder);
-  EXPECT_EQ(s.index, 47u);
+  EXPECT_EQ(s.index, 38u);
   const FaultPlan p = s.plan(8);
   ASSERT_TRUE(p.cut_at_write.has_value());
   EXPECT_EQ(*p.cut_at_write, 9u);
@@ -132,7 +132,7 @@ TEST(FaultScheduleTest, PlanSeedsDifferPerIndexAndReplayExactly) {
 }
 
 TEST(FaultScheduleTest, EioVariantHasNoCut) {
-  const FaultSchedule s = schedule_at(7, 5 * 3 + 3);
+  const FaultSchedule s = schedule_at(7, kNumFaultVariants * 3 + 3);
   EXPECT_EQ(s.variant, FaultVariant::kEio);
   const FaultPlan p = s.plan(8);
   EXPECT_FALSE(p.cut_at_write.has_value());
@@ -140,25 +140,12 @@ TEST(FaultScheduleTest, EioVariantHasNoCut) {
   EXPECT_EQ(p.eio_start, 3u);
 }
 
-TEST(FaultScheduleTest, EraseVariantCutsAtTheNthErase) {
-  const FaultSchedule s = schedule_at(7, 5 * 6 + 4);
-  EXPECT_EQ(s.variant, FaultVariant::kEraseInterrupt);
-  const FaultPlan p = s.plan(8);
-  EXPECT_FALSE(p.cut_at_write.has_value());
-  ASSERT_TRUE(p.cut_at_erase.has_value());
-  EXPECT_EQ(*p.cut_at_erase, 6u);
-  EXPECT_NE(s.describe().find("erase"), std::string::npos);
-}
-
 TEST(FaultHarnessTest, CorrectWorkloadSurvivesExhaustiveExploration) {
   const ExploreReport report =
       explore(factory_of<SectorLogWorkload>(), ExploreOptions{});
   EXPECT_TRUE(report.passed()) << report.summary();
   EXPECT_EQ(report.write_count, 10u);
-  // 10 writes x the 4 write-cut variants; the workload never erases, so
-  // no interrupted-erase schedules are enumerated.
-  EXPECT_EQ(report.erase_count, 0u);
-  EXPECT_EQ(report.schedules_run, 40u);
+  EXPECT_EQ(report.schedules_run, 40u);  // 10 writes x 4 variants
 }
 
 TEST(FaultHarnessTest, ExplorationIsDeterministicAcrossJobCounts) {

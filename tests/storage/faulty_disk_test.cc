@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "storage/flash/flash_device.h"
 #include "storage/mem_disk.h"
 
 namespace deepnote::storage {
@@ -215,6 +216,35 @@ TEST(FaultyDiskTest, EioBurstRepeatsWithPeriod) {
     const bool ok = disk.write(SimTime::zero(), w, 1, pattern(1, 1)).ok();
     EXPECT_EQ(ok, w % 3 != 0) << "write " << w;
   }
+}
+
+// Erases are not a fault target, but FaultyDisk must still forward them
+// to the device underneath rather than fall back to BlockDevice's no-op
+// erase; once a cut kills the device, erases fail like every other
+// command.
+TEST(FaultyDiskTest, EraseForwardsUntilTheCut) {
+  FlashConfig config;
+  config.page_sectors = 2;
+  config.pages_per_block = 4;
+  config.blocks = 4;
+  FlashDevice flash(config);
+  FaultPlan plan;
+  plan.cut_at_write = 1;
+  FaultyDisk disk(flash, plan);
+  const std::uint32_t block = flash.block_sectors();
+
+  ASSERT_TRUE(disk.write(SimTime::zero(), 0, 2, pattern(2, 0x5a)).ok());
+  EXPECT_EQ(read_back(flash, 0, 2), pattern(2, 0x5a));
+  ASSERT_EQ(flash.erase_count(0), 0u);
+  ASSERT_TRUE(disk.erase(SimTime::zero(), 0, block).ok());
+  EXPECT_EQ(flash.erase_count(0), 1u);
+  EXPECT_EQ(read_back(flash, 0, 2), pattern(2, 0xff));
+
+  // Write 1 is the cut; the erase after it never reaches the block.
+  EXPECT_FALSE(disk.write(SimTime::zero(), 0, 2, pattern(2, 0x01)).ok());
+  ASSERT_TRUE(disk.dead());
+  EXPECT_FALSE(disk.erase(SimTime::zero(), 0, block).ok());
+  EXPECT_EQ(flash.erase_count(0), 1u);
 }
 
 }  // namespace
