@@ -8,6 +8,7 @@
 #include "acoustics/absorption.h"
 #include "cluster/engine.h"
 #include "cluster/node.h"
+#include "cluster/traffic.h"
 #include "core/attack.h"
 #include "core/scenario.h"
 #include "core/testbed.h"
@@ -432,6 +433,39 @@ BENCHMARK(BM_PlacementReplicas)
     ->Arg(static_cast<int>(cluster::PlacementPolicy::kSamePod))
     ->Arg(static_cast<int>(cluster::PlacementPolicy::kCrossPod))
     ->Arg(static_cast<int>(cluster::PlacementPolicy::kRackAware));
+
+// One closed-loop round of the overload_1k population: 4,096 clients
+// per 15 nodes scaled to 1,000 nodes (273,066 clients at 120k req/s,
+// about 2.3 s of think time each). Each iteration harvests the clients
+// due in the next 50 ms epoch, draws their keys, and completes every
+// issue as served 8 ms later, which schedules its next think. Items are
+// client issues, so the rate is the population's own cost per request.
+static void BM_ClosedLoopRound(benchmark::State& state) {
+  constexpr std::size_t kClients = 273066;
+  static const cluster::ZipfAliasSampler zipf(20000, 0.01);
+  cluster::TrafficConfig traffic;
+  traffic.arrival_rate_per_s = 120000.0;
+  cluster::ClosedLoopPopulation population;
+  population.reset(traffic, kClients, cluster::resilience::BackoffConfig{},
+                   nullptr, sim::SimTime::zero());
+  std::vector<cluster::ClientIssue> due;
+  sim::SimTime horizon = sim::SimTime::zero();
+  std::int64_t issues = 0;
+  for (auto _ : state) {
+    horizon = horizon + sim::Duration::from_millis(50.0);
+    due.clear();
+    population.collect_due(horizon, zipf, due);
+    benchmark::DoNotOptimize(due.data());
+    for (const cluster::ClientIssue& issue : due) {
+      population.complete(issue.client,
+                          issue.at + sim::Duration::from_millis(8.0),
+                          cluster::OutcomeKind::kServed);
+    }
+    issues += static_cast<std::int64_t>(due.size());
+  }
+  state.SetItemsProcessed(issues);
+}
+BENCHMARK(BM_ClosedLoopRound);
 
 // The tentpole end-to-end number: 1000 nodes (200 pods x 5 bays),
 // 3-way cross-pod replication, a 1M-key Zipf read/write mix through the

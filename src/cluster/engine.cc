@@ -246,7 +246,7 @@ void ShardedClusterEngine::start_run(sim::SimTime start, SloTracker& slo,
                      config_.serving.backoff,
                      config_.serving.retry_budget.enabled ? &retry_budget_
                                                           : nullptr,
-                     start, shard_count_);
+                     start);
     }
   }
   running_ = true;
@@ -836,7 +836,11 @@ OutcomeKind ShardedClusterEngine::request_outcome(std::uint32_t r) const {
 
 void ShardedClusterEngine::settle_clients(std::size_t first_req) {
   const std::size_t nreq = req_arrival_.size();
+  // A round's clients are scattered across the population: start
+  // loading each record a few requests before completing it.
+  constexpr std::size_t kAhead = 4;
   for (std::size_t r = first_req; r < nreq; ++r) {
+    if (r + kAhead < nreq) clients_.prefetch(req_client_[r + kAhead]);
     clients_.complete(req_client_[r], req_complete_[r],
                       request_outcome(static_cast<std::uint32_t>(r)));
   }

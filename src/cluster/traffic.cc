@@ -69,16 +69,82 @@ double ZipfAliasSampler::probability(std::uint64_t rank) const {
   return 1.0 / (std::pow(static_cast<double>(rank + 1), theta_) * zetan_);
 }
 
-void ClosedLoopPopulation::push_pending(std::uint32_t client,
-                                        sim::SimTime at) {
-  shard_wheels_[client / clients_per_shard_].schedule(at, client);
+void IssueCalendar::reset(sim::SimTime origin, std::size_t capacity) {
+  origin_ns_ = origin.ns();
+  now_ns_ = origin.ns();
+  cursor_ = 0;
+  base_ = 0;
+  ring_.resize(static_cast<std::size_t>(kWindow));
+  for (std::vector<Entry>& b : ring_) b.clear();
+  far_.clear();
+  far_.reserve(capacity);
+  overdue_.clear();
+}
+
+void IssueCalendar::schedule(sim::SimTime at, std::uint32_t id) {
+  if (at.ns() <= now_ns_) {
+    overdue_.push_back(Entry{at, id});
+    return;
+  }
+  // at > now_ns_, so the tick is at least cursor_: inside the window
+  // unless it is at or past its end.
+  const std::int64_t tick = tick_of(at);
+  if (tick < base_ + kWindow) {
+    bucket(tick).push_back(Entry{at, id});
+  } else {
+    far_.push_back(Entry{at, id});
+  }
+}
+
+void IssueCalendar::slide() {
+  base_ += kHalf;
+  // Every far record lies at or past the old window's end, which is
+  // the new window's second half: none lands at or below the cursor.
+  const std::int64_t end = base_ + kWindow;
+  std::size_t keep = 0;
+  for (const Entry& e : far_) {
+    const std::int64_t tick = tick_of(e.at);
+    if (tick < end) {
+      bucket(tick).push_back(e);
+    } else {
+      far_[keep++] = e;
+    }
+  }
+  far_.resize(keep);
+}
+
+void IssueCalendar::harvest(sim::SimTime limit, std::vector<Entry>& out) {
+  // The clock is monotone, as the wheel's is: an earlier limit harvests
+  // at the previous one.
+  if (limit.ns() > now_ns_) now_ns_ = limit.ns();
+  out.insert(out.end(), overdue_.begin(), overdue_.end());
+  overdue_.clear();
+  // Every bucket below the limit's tick is due in full.
+  const std::int64_t target = tick_of(sim::SimTime{now_ns_});
+  while (cursor_ < target) {
+    std::vector<Entry>& due = bucket(cursor_++);
+    out.insert(out.end(), due.begin(), due.end());
+    due.clear();
+    if (cursor_ == base_ + kHalf) slide();
+  }
+  // The limit's own tick holds records on both sides of it.
+  std::vector<Entry>& last = bucket(cursor_);
+  std::size_t keep = 0;
+  for (const Entry& e : last) {
+    if (e.at.ns() <= now_ns_) {
+      out.push_back(e);
+    } else {
+      last[keep++] = e;
+    }
+  }
+  last.resize(keep);
 }
 
 void ClosedLoopPopulation::reset(const TrafficConfig& traffic,
                                  std::size_t clients,
                                  const resilience::BackoffConfig& backoff,
                                  resilience::RetryBudget* budget,
-                                 sim::SimTime start, std::size_t shards) {
+                                 sim::SimTime start) {
   if (clients == 0) {
     throw std::invalid_argument("closed loop: needs at least one client");
   }
@@ -94,26 +160,14 @@ void ClosedLoopPopulation::reset(const TrafficConfig& traffic,
   if (backoff.jitter < 0.0 || backoff.jitter > 1.0) {
     throw std::invalid_argument("closed loop: jitter must be in [0, 1]");
   }
-  if (shards == 0) shards = 1;
-  if (shards > clients) shards = clients;
   think_mean_s_ = static_cast<double>(clients) / traffic.arrival_rate_per_s;
   read_fraction_ = traffic.read_fraction;
   backoff_ = backoff;
   budget_ = budget;
   retries_ = 0;
   clients_.assign(clients, Client{});
-  clients_per_shard_ = (clients + shards - 1) / shards;
-  // Keep warm wheel slabs when the shard layout repeats; otherwise
-  // rebuild the vector (TimerWheel is movable, not copyable).
-  if (shard_wheels_.size() != shards) {
-    shard_wheels_.clear();
-    shard_wheels_.reserve(shards);
-    for (std::size_t s = 0; s < shards; ++s) shard_wheels_.emplace_back();
-  }
-  for (sim::TimerWheel& wheel : shard_wheels_) {
-    wheel.reset(start);
-    wheel.reserve(clients_per_shard_);
-  }
+  // A client has at most one pending issue.
+  calendar_.reset(start, clients);
   sim::Rng master(traffic.seed);
   for (std::uint32_t i = 0; i < clients_.size(); ++i) {
     Client& c = clients_[i];
@@ -122,44 +176,42 @@ void ClosedLoopPopulation::reset(const TrafficConfig& traffic,
     // splitmix64 state per client off the traffic seed.
     c.jitter_state =
         traffic.seed ^ (0x9e3779b97f4a7c15ull * (std::uint64_t{i} + 1));
-    push_pending(i, start + sim::Duration::from_seconds(
-                               c.rng.exponential(think_mean_s_)));
+    calendar_.schedule(start + sim::Duration::from_seconds(
+                                   c.rng.exponential(think_mean_s_)),
+                       i);
   }
 }
 
 void ClosedLoopPopulation::collect_due(sim::SimTime horizon,
                                        const ZipfAliasSampler& zipf,
                                        std::vector<ClientIssue>& out) {
-  const std::size_t first = out.size();
-  // The wheel fires deadline <= t; collect_due's contract is strictly
-  // below the horizon, so harvest to horizon - 1ns.
-  const sim::SimTime limit{horizon.ns() - 1};
-  for (sim::TimerWheel& wheel : shard_wheels_) {
-    expired_.clear();
-    wheel.advance(limit, expired_);
-    for (const sim::TimerWheel::Expired& e : expired_) {
-      const auto client = static_cast<std::uint32_t>(e.payload);
-      Client& c = clients_[client];
-      if (c.has_retry == 0) {
-        // Drawn against the client's own forked stream, so the order
-        // shards (or clients within one) are visited cannot matter.
-        c.key = zipf.next(c.rng);
-        c.is_read = c.rng.bernoulli(read_fraction_) ? 1 : 0;
-        c.attempts = 0;
-        if (budget_ != nullptr) budget_->earn();
-      }
-      out.push_back(ClientIssue{e.deadline, client, c.key, c.is_read != 0});
-      // The client is now in flight: it re-enters its wheel at complete().
-    }
-  }
-  // Each shard fires in (at, schedule) order; merging the streams is a
-  // sort of the (typically tiny) due set. (at, client) pairs are unique,
-  // so the merged order — and every byte downstream — is independent of
-  // the shard layout.
-  std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
-            [](const ClientIssue& a, const ClientIssue& b) {
-              return a.at == b.at ? a.client < b.client : a.at < b.at;
+  // The calendar hands out at <= limit; collect_due's contract is
+  // strictly below the horizon, so harvest to horizon - 1ns.
+  due_.clear();
+  calendar_.harvest(sim::SimTime{horizon.ns() - 1}, due_);
+  // A client has at most one pending issue, so (at, client) pairs are
+  // unique and this order — and every byte downstream — does not depend
+  // on how the calendar laid them out.
+  std::sort(due_.begin(), due_.end(),
+            [](const IssueCalendar::Entry& a, const IssueCalendar::Entry& b) {
+              return a.at == b.at ? a.id < b.id : a.at < b.at;
             });
+  constexpr std::size_t kAhead = 4;
+  for (std::size_t i = 0; i < due_.size(); ++i) {
+    if (i + kAhead < due_.size()) prefetch(due_[i + kAhead].id);
+    const std::uint32_t client = due_[i].id;
+    Client& c = clients_[client];
+    if (c.has_retry == 0) {
+      // Drawn against the client's own forked stream, so the order
+      // clients are visited in cannot matter.
+      c.key = zipf.next(c.rng);
+      c.is_read = c.rng.bernoulli(read_fraction_) ? 1 : 0;
+      c.attempts = 0;
+      if (budget_ != nullptr) budget_->earn();
+    }
+    out.push_back(ClientIssue{due_[i].at, client, c.key, c.is_read != 0});
+    // The client is now in flight: it is scheduled again at complete().
+  }
 }
 
 void ClosedLoopPopulation::complete(std::uint32_t client, sim::SimTime when,
@@ -174,15 +226,17 @@ void ClosedLoopPopulation::complete(std::uint32_t client, sim::SimTime when,
     ++c.attempts;
     ++retries_;
     c.has_retry = 1;
-    push_pending(client,
-                 when + resilience::backoff_delay(
-                            backoff_, c.attempts,
-                            resilience::next_jitter_word(c.jitter_state)));
+    calendar_.schedule(
+        when + resilience::backoff_delay(
+                   backoff_, c.attempts,
+                   resilience::next_jitter_word(c.jitter_state)),
+        client);
     return;
   }
   c.has_retry = 0;
-  push_pending(client, when + sim::Duration::from_seconds(
-                           c.rng.exponential(think_mean_s_)));
+  calendar_.schedule(
+      when + sim::Duration::from_seconds(c.rng.exponential(think_mean_s_)),
+      client);
 }
 
 }  // namespace deepnote::cluster

@@ -11,6 +11,7 @@
 // population below is the backpressure alternative.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -18,7 +19,7 @@
 #include "cluster/resilience/retry.h"
 #include "cluster/slo.h"
 #include "sim/rng.h"
-#include "sim/timer_wheel.h"
+#include "sim/time.h"
 
 namespace deepnote::cluster {
 
@@ -82,6 +83,66 @@ struct ClientIssue {
   bool is_read = true;
 };
 
+/// The closed-loop population's calendar of pending next issues: flat
+/// 16-byte (at, id) records, handed out in bulk. Unlike sim::TimerWheel
+/// it never cancels and hands a harvest out unsorted (its caller sorts
+/// it anyway), so it needs no linked node slab: a record lives in a
+/// plain vector and scheduling one is a push_back.
+///
+/// Time is cut into the timer wheel's 65.536 us ticks, counted from the
+/// origin, and every pending record sits in one of three lists:
+///  * the near ring, one bucket per tick over a window of kWindow ticks
+///    (268 ms) that slides forward half a window at a time;
+///  * the far list, for records past the window; each slide moves the
+///    records that came into the window into their buckets in one pass;
+///  * the overdue list, for records at or before the last harvest
+///    limit; the next harvest hands them out at their own time.
+///
+/// harvest(limit) hands out exactly the records sim::TimerWheel's
+/// advance(limit) would fire: every one at or before the later of
+/// `limit` and the previous limit.
+class IssueCalendar {
+ public:
+  struct Entry {
+    sim::SimTime at;
+    std::uint32_t id = 0;
+  };
+
+  /// Drop every record and restart the clock at `origin`. The far list
+  /// is reserved to `capacity`, the most records ever pending at once.
+  /// The ring is allocated by the first reset, and the buckets keep
+  /// their capacity, so a warm replay does not allocate.
+  void reset(sim::SimTime origin, std::size_t capacity);
+
+  void schedule(sim::SimTime at, std::uint32_t id);
+
+  /// Append every record at or before max(limit, previous limit) to
+  /// `out`, in no particular order, and remove them.
+  void harvest(sim::SimTime limit, std::vector<Entry>& out);
+
+ private:
+  static constexpr int kTickShift = 16;  // 65.536 us, the wheel's tick
+  static constexpr std::int64_t kWindow = 4096;
+  static constexpr std::int64_t kHalf = kWindow / 2;
+
+  std::int64_t tick_of(sim::SimTime t) const {
+    return (t.ns() - origin_ns_) >> kTickShift;
+  }
+  std::vector<Entry>& bucket(std::int64_t tick) {
+    return ring_[static_cast<std::size_t>(tick & (kWindow - 1))];
+  }
+  /// Move the window up by half and pull in the far records it reaches.
+  void slide();
+
+  std::int64_t origin_ns_ = 0;
+  std::int64_t now_ns_ = 0;  ///< the latest harvest limit
+  std::int64_t cursor_ = 0;  ///< tick of now_ns_, below base_ + kHalf
+  std::int64_t base_ = 0;    ///< first tick of the window
+  std::vector<std::vector<Entry>> ring_;
+  std::vector<Entry> far_;
+  std::vector<Entry> overdue_;
+};
+
 /// A fixed population of closed-loop clients: each client issues one
 /// request, waits for its outcome, then thinks for an exponential gap
 /// before the next — so when the service slows down, offered load drops
@@ -90,10 +151,10 @@ struct ClientIssue {
 ///
 /// Failed outcomes feed the retry loop this layer exists to study: the
 /// client re-issues the same key after a BackoffConfig-shaped delay
-/// (fixed / linear / exponential, with deterministic per-client jitter)
-/// up to a retry cap, optionally gated by a cluster-wide RetryBudget —
-/// which is exactly the retry-storm amplification loop the overload
-/// experiment measures.
+/// (fixed or exponential, with deterministic per-client jitter) up to a
+/// retry cap, optionally gated by a cluster-wide RetryBudget — which is
+/// exactly the retry-storm amplification loop the overload experiment
+/// measures.
 ///
 /// Deterministic: every client owns a forked RNG stream and draws its
 /// key/read-coin at issue time; backoff jitter comes from a separate
@@ -101,27 +162,23 @@ struct ClientIssue {
 /// perturbs key draws). The request sequence depends only on
 /// (seed, outcome timeline), never on batching.
 ///
-/// The population is sharded: clients are split into contiguous blocks,
-/// each owning a timer wheel of (next_issue, client) for its idle
-/// members. collect_due harvests only the due timers and merges the
-/// shard streams into canonical (at, client) order, so a round over a
-/// 10k-client population costs O(due) instead of a full scan. The
-/// merged order — and therefore every downstream byte — is identical
-/// at any shard count.
+/// Idle clients wait in one IssueCalendar keyed by next-issue time.
+/// collect_due harvests only the due ones and sorts them into
+/// canonical (at, client) order. A round costs O(due), and only the
+/// calendar's slides (one per 134 ms of simulated time) pass over the
+/// clients waiting past its window.
 class ClosedLoopPopulation {
  public:
   ClosedLoopPopulation() = default;
 
   /// (Re)seed `clients` streams from `traffic.seed`. Per-client think
   /// mean is clients / arrival_rate, so the aggregate no-load offered
-  /// rate matches the open-loop configuration. `shards` only affects
-  /// data layout (it follows the engine's shard count); results do not
-  /// depend on it. `budget`, when non-null, must outlive the population
-  /// and gates every retry (it is earned by fresh issues here too).
+  /// rate matches the open-loop configuration. `budget`, when non-null,
+  /// must outlive the population and gates every retry (it is earned by
+  /// fresh issues here too).
   void reset(const TrafficConfig& traffic, std::size_t clients,
              const resilience::BackoffConfig& backoff,
-             resilience::RetryBudget* budget, sim::SimTime start,
-             std::size_t shards = 1);
+             resilience::RetryBudget* budget, sim::SimTime start);
 
   /// Append every client whose next issue falls before `horizon` to
   /// `out` (sorted by (at, client)) and mark them in flight. Their keys
@@ -131,6 +188,15 @@ class ClosedLoopPopulation {
 
   /// Report the outcome of `client`'s in-flight request at `when`.
   void complete(std::uint32_t client, sim::SimTime when, OutcomeKind outcome);
+
+  /// Start loading `client`'s record, for a caller about to complete()
+  /// a batch of clients scattered across the population.
+  void prefetch(std::uint32_t client) const {
+    // A record can straddle two cache lines: fetch both ends.
+    const Client* c = &clients_[client];
+    __builtin_prefetch(c);
+    __builtin_prefetch(reinterpret_cast<const char*>(c + 1) - 1);
+  }
 
   std::size_t size() const { return clients_.size(); }
   /// Retry re-issues across the run (budget-approved ones only).
@@ -147,14 +213,11 @@ class ClosedLoopPopulation {
     std::uint8_t has_retry = 0;  ///< next issue re-sends `key`
   };
 
-  void push_pending(std::uint32_t client, sim::SimTime at);
-
   std::vector<Client> clients_;
-  /// Per-shard timer wheel of idle clients keyed by next-issue time;
-  /// payload = client index. Harvested strictly below the round horizon.
-  std::vector<sim::TimerWheel> shard_wheels_;
-  std::vector<sim::TimerWheel::Expired> expired_;  ///< harvest scratch
-  std::size_t clients_per_shard_ = 1;
+  /// Idle clients by next-issue time; id = client index. Harvested
+  /// strictly below the round horizon.
+  IssueCalendar calendar_;
+  std::vector<IssueCalendar::Entry> due_;  ///< harvest scratch
   double think_mean_s_ = 0.0;
   double read_fraction_ = 1.0;
   resilience::BackoffConfig backoff_;

@@ -1,7 +1,10 @@
 // Hierarchical timer wheel over virtual time.
 //
-// The serving data plane retires thousands of per-request deadlines and
-// backoff retries per epoch. A comparison heap pays O(log n) per
+// The serving data plane's NodeServer arms a deadline per queued request,
+// plus a cancel timer per hedged read, and cancels whichever of them the
+// request's finish leaves unfired: thousands of timers per epoch. (The
+// closed-loop clients, which never cancel, use the flatter IssueCalendar
+// in cluster/traffic.h.) A comparison heap pays O(log n) per
 // schedule/fire and — worse for the hot path — a cache miss per level of
 // the sift; the wheel pays O(1) per schedule/cancel and amortized O(1)
 // per fired timer: a timer is dropped into the bucket covering its

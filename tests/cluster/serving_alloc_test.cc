@@ -97,12 +97,11 @@ TEST(ServingAllocTest, WarmServingRunIsAllocationFree) {
       << "steady-state serving loop allocated on the hot path";
 }
 
-// Same contract with the wave pool engaged: jobs = 4 shards the client
-// population into per-shard arrival heaps and splits the per-wave
-// active-node / depth-dirty lists per shard. All of that state must
-// recycle exactly like the inline path's. (min_ops_to_shard = 0 forces
-// every wave through the pool, so the sharded structures are actually
-// exercised.)
+// Same contract with the wave pool engaged: jobs = 4 splits the per-wave
+// active-node / depth-dirty lists and the serving histograms per shard.
+// All of that state must recycle exactly like the inline path's.
+// (min_ops_to_shard = 0 forces every wave through the pool, so the
+// sharded structures are actually exercised.)
 TEST(ServingAllocTest, WarmShardedServingRunIsAllocationFree) {
   constexpr std::uint64_t kSectors = 16384;
   const ClusterTopology topo{.pods = 3, .bays_per_pod = 2};

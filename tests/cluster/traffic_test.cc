@@ -1,16 +1,20 @@
-// Traffic tests: the exact alias-method Zipf sampler, and the engine's
-// open-loop arrivals — Poisson arrival counts, the read/write mix,
-// deterministic replay, timeline action delivery and the rejection of
-// degenerate traffic configs — on MemDisk nodes.
+// Traffic tests: the exact alias-method Zipf sampler, the closed-loop
+// population's next-issue calendar (differentially, against the timer
+// wheel), and the engine's open-loop arrivals — Poisson arrival counts,
+// the read/write mix, deterministic replay, timeline action delivery and
+// the rejection of degenerate traffic configs — on MemDisk nodes.
 #include "cluster/traffic.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 #include "mem_cluster.h"
+#include "sim/timer_wheel.h"
 
 namespace deepnote::cluster {
 namespace {
@@ -59,6 +63,124 @@ TEST(ZipfAlias, DeterministicAndRejectsBadConfig) {
   EXPECT_THROW(ZipfAliasSampler(0, 0.99), std::invalid_argument);
   EXPECT_THROW(ZipfAliasSampler(10, 0.0), std::invalid_argument);
   EXPECT_THROW(ZipfAliasSampler(10, 1.0), std::invalid_argument);
+}
+
+// Random schedule/harvest streams against sim::TimerWheel, the structure
+// the calendar replaced: each harvest, sorted by (at, id), must be exactly
+// what the wheel fires at the same limit. Ids rise with schedule order,
+// so the wheel's (deadline, schedule order) is (at, id) order. The
+// streams cover overdue schedules, at == limit and at == limit + 1,
+// records past the near window, repeated harvests at one limit, limits
+// behind the clock, jumps longer than the whole window, non-zero
+// origins, and a reset to a new origin with records still pending.
+TEST(IssueCalendar, HarvestsExactlyWhatTheTimerWheelFires) {
+  constexpr std::int64_t kTick = std::int64_t{1} << 16;  // 65.536 us
+  constexpr std::int64_t kWindow = 4096 * kTick;         // the near ring
+  constexpr int kOps = 20000;
+  struct {
+    int overdue = 0, far = 0, at_limit = 0, below_at = 0, repeat = 0,
+        behind = 0, long_jump = 0;
+  } seen;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    sim::Rng rng(seed);
+    // Odd seeds start at an origin that is neither zero nor tick-aligned.
+    sim::SimTime origin{
+        seed % 2 == 1 ? 12'345'678'901 + 7 * static_cast<std::int64_t>(seed)
+                      : 0};
+    IssueCalendar calendar;
+    calendar.reset(origin, kOps);
+    sim::TimerWheel wheel(sim::Duration::from_micros(64), origin);
+    std::int64_t now = origin.ns();
+    std::uint32_t next_id = 0;
+    std::vector<std::int64_t> recent;  // latest schedule times
+    std::vector<IssueCalendar::Entry> got;
+    std::vector<sim::TimerWheel::Expired> want;
+    const auto harvest_both = [&](std::int64_t limit) {
+      got.clear();
+      want.clear();
+      calendar.harvest(sim::SimTime{limit}, got);
+      wheel.advance(sim::SimTime{limit}, want);
+      now = std::max(now, limit);
+      std::sort(got.begin(), got.end(),
+                [](const IssueCalendar::Entry& a,
+                   const IssueCalendar::Entry& b) {
+                  return a.at == b.at ? a.id < b.id : a.at < b.at;
+                });
+      ASSERT_EQ(got.size(), want.size()) << "limit " << limit;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].at, want[i].deadline) << "limit " << limit;
+        ASSERT_EQ(got[i].id, want[i].payload) << "limit " << limit;
+      }
+    };
+    for (int op = 0; op < kOps; ++op) {
+      if (op == kOps / 2) {
+        // Reuse: a reset drops what is pending and moves the origin.
+        origin = sim::SimTime{now + rng.uniform_int(1, kWindow)};
+        calendar.reset(origin, kOps);
+        wheel.reset(origin);
+        now = origin.ns();
+        recent.clear();
+      }
+      if (rng.next_double() < 0.65) {
+        const double kind = rng.next_double();
+        std::int64_t at;
+        if (kind < 0.1) {
+          at = rng.uniform_int(origin.ns(), now);
+          ++seen.overdue;
+        } else if (kind < 0.45) {
+          at = now + rng.uniform_int(1, 64 * kTick);
+        } else if (kind < 0.8) {
+          at = now + rng.uniform_int(1, kWindow);
+        } else {
+          at = now + rng.uniform_int(kWindow, 8 * kWindow);
+          ++seen.far;
+        }
+        calendar.schedule(sim::SimTime{at}, next_id);
+        wheel.schedule(sim::SimTime{at}, next_id);
+        ++next_id;
+        recent.push_back(at);
+        if (recent.size() > 64) recent.erase(recent.begin());
+        continue;
+      }
+      const double kind = rng.next_double();
+      std::int64_t limit;
+      if (kind < 0.35) {
+        limit = now + rng.uniform_int(0, 16 * kTick);
+      } else if (kind < 0.6 && !recent.empty()) {
+        // A recent schedule as the limit, or one below it.
+        const std::int64_t at = recent[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(recent.size()) - 1))];
+        const bool at_limit = rng.bernoulli(0.5);
+        limit = at_limit ? at : at - 1;
+        if (limit > now) ++(at_limit ? seen.at_limit : seen.below_at);
+      } else if (kind < 0.7) {
+        limit = now;
+        ++seen.repeat;
+      } else if (kind < 0.8) {
+        limit = now - rng.uniform_int(1, kWindow);
+        ++seen.behind;
+      } else if (kind < 0.95) {
+        limit = now + rng.uniform_int(kTick, kWindow);
+      } else {
+        limit = now + rng.uniform_int(kWindow + 1, 4 * kWindow);
+        ++seen.long_jump;
+      }
+      harvest_both(limit);
+      if (HasFatalFailure()) return;
+    }
+    // Past every schedule: both hand out all that is left.
+    harvest_both(now + 16 * kWindow);
+    if (HasFatalFailure()) return;
+    EXPECT_TRUE(wheel.empty());
+  }
+  EXPECT_GT(seen.overdue, 0);
+  EXPECT_GT(seen.far, 0);
+  EXPECT_GT(seen.at_limit, 0);
+  EXPECT_GT(seen.below_at, 0);
+  EXPECT_GT(seen.repeat, 0);
+  EXPECT_GT(seen.behind, 0);
+  EXPECT_GT(seen.long_jump, 0);
 }
 
 TEST(Traffic, OpenLoopArrivalCountTracksTheRate) {
