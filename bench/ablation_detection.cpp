@@ -10,7 +10,6 @@
 #include "core/detector.h"
 #include "core/scenario.h"
 #include "core/testbed.h"
-#include "hdd/smart.h"
 #include "sim/table.h"
 
 using namespace deepnote;

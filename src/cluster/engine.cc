@@ -78,7 +78,7 @@ ShardedClusterEngine::ShardedClusterEngine(
   hedge_threshold_s_ = config_.balancer.hedge_threshold.seconds();
 
   const std::size_t n = devices_.size();
-  const unsigned jobs = sim::resolve_jobs(config_.jobs == 0 ? 0 : config_.jobs);
+  const unsigned jobs = sim::resolve_jobs(config_.jobs);
   if (jobs >= 2 && n >= 2) {
     // More shards than workers so the pool's dynamic index claiming can
     // balance skew (the attacked pod's shard runs long error paths).

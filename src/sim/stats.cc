@@ -6,40 +6,6 @@
 
 namespace deepnote::sim {
 
-void OnlineStats::add(double x) {
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
-void OnlineStats::merge(const OnlineStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double nt = na + nb;
-  mean_ += delta * nb / nt;
-  m2_ += other.m2_ + delta * delta * na * nb / nt;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-void OnlineStats::reset() { *this = OnlineStats{}; }
-
-double OnlineStats::variance() const {
-  return n_ ? m2_ / static_cast<double>(n_) : 0.0;
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
-
 LatencyHistogram::LatencyHistogram() : buckets_(kNumBuckets, 0) {}
 
 int LatencyHistogram::bucket_for(std::int64_t ns) {
@@ -90,20 +56,6 @@ Duration LatencyHistogram::mean() const {
   if (total_ == 0) return Duration::zero();
   return Duration{
       static_cast<std::int64_t>(sum_ns_ / static_cast<double>(total_))};
-}
-
-void RateMeter::reset() { *this = RateMeter{}; }
-
-double RateMeter::throughput_mbps() const {
-  const double secs = elapsed().seconds();
-  if (secs <= 0.0) return 0.0;
-  return static_cast<double>(bytes_) / 1e6 / secs;
-}
-
-double RateMeter::ops_per_second() const {
-  const double secs = elapsed().seconds();
-  if (secs <= 0.0) return 0.0;
-  return static_cast<double>(ops_) / secs;
 }
 
 }  // namespace deepnote::sim

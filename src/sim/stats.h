@@ -1,39 +1,15 @@
-// Streaming statistics used by the workload runners and experiment harness.
+// Latency histogram used by the workload runners and experiment harness.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "sim/time.h"
 
 namespace deepnote::sim {
-
-/// Welford online mean / variance / min / max accumulator.
-class OnlineStats {
- public:
-  void add(double x);
-  void merge(const OnlineStats& other);
-  void reset();
-
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const;  ///< population variance
-  double stddev() const;
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  double sum() const { return n_ ? mean_ * static_cast<double>(n_) : 0.0; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /// Log-bucketed latency histogram (HdrHistogram-style, base-10 sub-bucketed).
 /// Records values in nanoseconds; quantiles are approximate to bucket width
@@ -83,30 +59,6 @@ class LatencyHistogram {
   // bucket_for(-1) clamps to bucket 0, so this seed pair is consistent.
   std::int64_t memo_ns_ = -1;
   int memo_bucket_ = 0;
-};
-
-/// Throughput accounting over an interval of simulated time.
-class RateMeter {
- public:
-  void start(SimTime t) { start_ = t; }
-  void stop(SimTime t) { stop_ = t; }
-  void add_bytes(std::uint64_t b) { bytes_ += b; }
-  void add_ops(std::uint64_t n = 1) { ops_ += n; }
-  void reset();
-
-  std::uint64_t bytes() const { return bytes_; }
-  std::uint64_t ops() const { return ops_; }
-  Duration elapsed() const { return stop_ - start_; }
-
-  /// MB/s with MB = 1e6 bytes (matches FIO's default reporting).
-  double throughput_mbps() const;
-  double ops_per_second() const;
-
- private:
-  SimTime start_;
-  SimTime stop_;
-  std::uint64_t bytes_ = 0;
-  std::uint64_t ops_ = 0;
 };
 
 }  // namespace deepnote::sim

@@ -585,143 +585,6 @@ DbResult Db::close(sim::SimTime now) {
   return DbResult{Errno::kOk, sr.done};
 }
 
-
-// ===========================================================================
-// Range scans
-
-namespace {
-
-/// Uniform view over the per-level cursors for the merge heap.
-struct ScanSource {
-  enum class Kind { kMem, kSst } kind;
-  MemTable::Cursor mem;
-  SstReader::Cursor sst;
-
-  bool valid() const {
-    return kind == Kind::kMem ? mem.valid() : sst.valid();
-  }
-  std::string_view user_key() const {
-    if (kind == Kind::kMem) return MemTable::user_key_of(mem.internal_key());
-    return sst.entry().user_key;
-  }
-  std::uint64_t sequence() const {
-    return kind == Kind::kMem ? mem.entry().sequence : sst.entry().sequence;
-  }
-  EntryType type() const {
-    return kind == Kind::kMem ? mem.entry().type : sst.entry().type;
-  }
-  std::string_view value() const {
-    if (kind == Kind::kMem) return mem.entry().value;
-    return sst.entry().value;
-  }
-  Errno next(sim::SimTime& t) {
-    if (kind == Kind::kMem) {
-      mem.next();
-      return Errno::kOk;
-    }
-    return sst.next(t);
-  }
-};
-
-}  // namespace
-
-ScanResult Db::scan(sim::SimTime now, std::string_view start_key,
-                    std::string_view end_key, const ScanVisitor& visit) {
-  ScanResult out;
-  if (fatal_) {
-    out.err = Errno::kEIO;
-    out.done = now;
-    return out;
-  }
-  if (immutable_ && now - flush_pending_since_ > config_.stall_grace) {
-    ++stats_.stalled_reads;
-    out.err = Errno::kEAGAIN;
-    out.done = now + config_.get_cpu;
-    return out;
-  }
-  sim::SimTime t = now + config_.get_cpu;
-
-  // One streaming cursor per level; blocks load lazily as the merge
-  // advances, so a short scan touches only a handful of blocks.
-  std::vector<ScanSource> sources;
-  {
-    ScanSource s{ScanSource::Kind::kMem, memtable_->cursor_at(start_key), {}};
-    if (s.valid()) sources.push_back(std::move(s));
-  }
-  if (immutable_) {
-    ScanSource s{ScanSource::Kind::kMem, immutable_->cursor_at(start_key), {}};
-    if (s.valid()) sources.push_back(std::move(s));
-  }
-  auto add_sst = [&](SstReader& sst) -> Errno {
-    if (sst.largest() < start_key) return Errno::kOk;
-    if (!end_key.empty() && sst.smallest() >= end_key) return Errno::kOk;
-    Errno err = Errno::kOk;
-    ScanSource s{ScanSource::Kind::kSst, {}, sst.seek(t, start_key, &err)};
-    if (err != Errno::kOk) return err;
-    if (s.valid()) sources.push_back(std::move(s));
-    return Errno::kOk;
-  };
-  for (auto& sst : l0_) {
-    const Errno err = add_sst(*sst);
-    if (err != Errno::kOk) {
-      out.err = err;
-      out.done = t;
-      return out;
-    }
-  }
-  for (auto& sst : l1_) {
-    const Errno err = add_sst(*sst);
-    if (err != Errno::kOk) {
-      out.err = err;
-      out.done = t;
-      return out;
-    }
-  }
-
-  auto cmp = [&](std::size_t a, std::size_t b) {
-    // min-heap on internal key order.
-    return internal_less(sources[b].user_key(), sources[b].sequence(),
-                         sources[a].user_key(), sources[a].sequence());
-  };
-  std::priority_queue<std::size_t, std::vector<std::size_t>, decltype(cmp)>
-      heap(cmp);
-  for (std::size_t i = 0; i < sources.size(); ++i) heap.push(i);
-
-  std::string last_user_key;
-  bool have_last = false;
-  while (!heap.empty()) {
-    const std::size_t i = heap.top();
-    heap.pop();
-    ScanSource& src = sources[i];
-    const std::string_view ukey = src.user_key();
-    if (!end_key.empty() && ukey >= end_key) {
-      // This source is past the range; drop it (keys only grow).
-      continue;
-    }
-    bool stop = false;
-    if (!have_last || ukey != last_user_key) {
-      last_user_key.assign(ukey);
-      have_last = true;
-      if (src.type() == EntryType::kPut) {
-        ++out.entries;
-        stats_.bytes_read += ukey.size() + src.value().size();
-        if (!visit(ukey, src.value())) stop = true;
-      }
-    }
-    if (stop) break;
-    const Errno err = src.next(t);
-    if (err != Errno::kOk) {
-      out.err = err;
-      out.done = t;
-      return out;
-    }
-    if (src.valid()) heap.push(i);
-  }
-  out.done = t;
-  return out;
-}
-
-
 // ===========================================================================
 // Integrity verification
 

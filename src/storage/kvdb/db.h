@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "storage/extfs.h"
-#include "storage/kvdb/iterator.h"
 #include "storage/kvdb/memtable.h"
 #include "storage/kvdb/sstable.h"
 #include "storage/kvdb/wal.h"
@@ -99,12 +98,6 @@ class Db {
   /// On a warm store, allocates at most the value it returns: SST data
   /// blocks are decoded in place (tests/storage/kvdb_alloc_test.cc).
   DbGetResult get(sim::SimTime now, std::string_view key);
-
-  /// Ordered range scan over [start_key, end_key): merges every level,
-  /// newest version wins, tombstones hidden. The visitor may stop the
-  /// scan early by returning false. An empty end_key means "to the end".
-  ScanResult scan(sim::SimTime now, std::string_view start_key,
-                  std::string_view end_key, const ScanVisitor& visit);
 
   /// Offline-style integrity check of every SST: entries in internal-key
   /// order, keys within the file's [smallest, largest] bounds, entry

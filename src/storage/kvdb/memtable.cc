@@ -68,9 +68,4 @@ void MemTable::for_each(
   });
 }
 
-MemTable::Cursor MemTable::cursor_at(std::string_view user_key_from) const {
-  return Cursor{
-      list_.cursor_at(build_key(user_key_from, ~std::uint64_t{0}))};
-}
-
 }  // namespace deepnote::storage::kvdb

@@ -68,24 +68,6 @@ class MemTable {
   void for_each(const std::function<void(std::string_view user_key,
                                          const MemEntry&)>& fn) const;
 
-  /// Streaming cursor in internal-key order.
-  class Cursor {
-   public:
-    Cursor() = default;
-    bool valid() const { return inner_.valid(); }
-    /// The full internal key (user key + inverted sequence).
-    std::string_view internal_key() const { return inner_.key(); }
-    const MemEntry& entry() const { return inner_.value(); }
-    void next() { inner_.next(); }
-
-   private:
-    friend class MemTable;
-    explicit Cursor(SkipList<MemEntry, InternalKeyLess>::Cursor inner)
-        : inner_(inner) {}
-    SkipList<MemEntry, InternalKeyLess>::Cursor inner_;
-  };
-  Cursor cursor_at(std::string_view user_key_from) const;
-
   /// Internal-key encoding helpers (shared with the SST writer).
   static std::string internal_key(std::string_view user_key,
                                   std::uint64_t sequence);

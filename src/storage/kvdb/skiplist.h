@@ -24,9 +24,6 @@ namespace deepnote::storage::kvdb {
 
 template <typename Value, typename Less = std::less<std::string_view>>
 class SkipList {
- private:
-  struct Node;  // defined below; forward-declared for Cursor
-
  public:
   explicit SkipList(std::uint64_t seed = 0x5eedull, Less less = Less{})
       : rng_(seed), less_(less) {
@@ -92,26 +89,6 @@ class SkipList {
     for (Node* x = head_->next[0]; x != nullptr; x = x->next[0]) {
       fn(x->key(), x->value);
     }
-  }
-
-  /// Forward cursor over the list (O(log n) seek, O(1) next).
-  class Cursor {
-   public:
-    Cursor() = default;
-    bool valid() const { return node_ != nullptr; }
-    std::string_view key() const { return node_->key(); }
-    const Value& value() const { return node_->value; }
-    void next() { node_ = node_->next[0]; }
-
-   private:
-    friend class SkipList;
-    explicit Cursor(const Node* node) : node_(node) {}
-    const Node* node_ = nullptr;
-  };
-
-  /// Cursor at the first key >= `from` (invalid when past the end).
-  Cursor cursor_at(std::string_view from) const {
-    return Cursor{find_greater_or_equal(from, nullptr)};
   }
 
  private:

@@ -369,43 +369,4 @@ FsResult SstReader::scan(sim::SimTime now,
   return FsResult{Errno::kOk, t};
 }
 
-Errno SstReader::Cursor::load_next_block(sim::SimTime& t) {
-  valid_ = false;
-  if (!sst_ || block_idx_ >= sst_->index_.size()) return Errno::kOk;
-  std::span<const std::byte> block;
-  const Errno err =
-      sst_->read_block(t, sst_->index_[block_idx_++], buf_, &block);
-  if (err != Errno::kOk) return err;
-  decoder_ = BlockDecoder(block);
-  // A block holds at least one entry.
-  valid_ = decoder_.next(&entry_);
-  return valid_ ? Errno::kOk : Errno::kEINVAL;
-}
-
-Errno SstReader::Cursor::next(sim::SimTime& t) {
-  if (decoder_.next(&entry_)) return Errno::kOk;
-  valid_ = false;
-  if (decoder_.malformed()) return Errno::kEINVAL;
-  return load_next_block(t);
-}
-
-SstReader::Cursor SstReader::seek(sim::SimTime& t, std::string_view start,
-                                  Errno* err) {
-  Cursor c;
-  c.sst_ = this;
-  // First block whose last key >= start.
-  auto it = std::lower_bound(
-      index_.begin(), index_.end(), start,
-      [](const IndexEntry& e, std::string_view k) { return e.last_key < k; });
-  c.block_idx_ = static_cast<std::size_t>(it - index_.begin());
-  Errno e = c.load_next_block(t);
-  // Skip entries below the start key within the block. Every error
-  // leaves the cursor invalid.
-  while (e == Errno::kOk && c.valid() && c.entry().user_key < start) {
-    e = c.next(t);
-  }
-  if (err) *err = e;
-  return c;
-}
-
 }  // namespace deepnote::storage::kvdb

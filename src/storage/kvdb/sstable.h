@@ -87,7 +87,6 @@ struct BlockEntry {
 /// them. Every reader of a data block goes through it.
 class BlockDecoder {
  public:
-  BlockDecoder() = default;
   explicit BlockDecoder(std::span<const std::byte> block)
       : p_(block.data()), end_(block.data() + block.size()) {}
 
@@ -125,46 +124,12 @@ class SstReader {
 
   SstGetResult get(sim::SimTime now, std::string_view user_key);
 
-  /// Stream every entry in order (used by compaction and recovery).
-  /// Reads the whole data area; returns err/time, kEINVAL on a malformed
-  /// block. The entry's views die with its block: copy what you keep.
+  /// Stream every entry in order (used by compaction, recovery and
+  /// Db::verify_integrity). Reads the whole data area; returns err/time,
+  /// kEINVAL on a malformed block. The entry's views die with its block:
+  /// copy what you keep.
   FsResult scan(sim::SimTime now,
                 const std::function<void(const BlockEntry&)>& fn);
-
-  /// Streaming cursor over the file's entries in internal-key order.
-  /// Blocks are read lazily through the filesystem into a buffer the
-  /// cursor owns; the shared clock `t` advances with each block read.
-  /// Move-only: entry() views that buffer, which a move carries along
-  /// and a copy would not.
-  class Cursor {
-   public:
-    Cursor() = default;
-    Cursor(Cursor&&) = default;
-    Cursor& operator=(Cursor&&) = default;
-    Cursor(const Cursor&) = delete;
-    Cursor& operator=(const Cursor&) = delete;
-
-    bool valid() const { return valid_; }
-    /// The current entry; valid until the next call to next().
-    const BlockEntry& entry() const { return entry_; }
-    /// Advance; loads the next block when the current one is exhausted.
-    /// Returns the device error, or kEINVAL on a malformed block (the
-    /// cursor becomes invalid either way).
-    Errno next(sim::SimTime& t);
-
-   private:
-    friend class SstReader;
-    SstReader* sst_ = nullptr;
-    std::size_t block_idx_ = 0;  ///< next index entry to load
-    std::vector<std::byte> buf_;
-    BlockDecoder decoder_;
-    BlockEntry entry_;
-    bool valid_ = false;
-
-    Errno load_next_block(sim::SimTime& t);
-  };
-  /// Cursor positioned at the first entry with user key >= `start`.
-  Cursor seek(sim::SimTime& t, std::string_view start, Errno* err);
 
   const std::string& smallest() const { return smallest_; }
   const std::string& largest() const { return largest_; }

@@ -5,9 +5,6 @@
 
 namespace deepnote::storage {
 
-// ===========================================================================
-// RAID-1
-
 Raid1Device::Raid1Device(std::vector<BlockDevice*> members,
                          std::uint32_t eject_after_errors)
     : members_(std::move(members)),
@@ -111,100 +108,6 @@ BlockIo Raid1Device::flush(sim::SimTime now) {
   if (!any_sent || ok_members == 0) {
     ++stats_.failed_ios;
     return BlockIo{BlockStatus::kIoError, done};
-  }
-  return BlockIo{BlockStatus::kOk, done};
-}
-
-// ===========================================================================
-// RAID-0
-
-Raid0Device::Raid0Device(std::vector<BlockDevice*> members,
-                         std::uint32_t chunk_sectors)
-    : members_(std::move(members)), chunk_sectors_(chunk_sectors) {
-  if (members_.empty()) {
-    throw std::invalid_argument("raid0: needs at least one member");
-  }
-  if (chunk_sectors_ == 0) {
-    throw std::invalid_argument("raid0: chunk must be positive");
-  }
-  std::uint64_t per_member = members_.front()->total_sectors();
-  for (auto* m : members_) {
-    per_member = std::min(per_member, m->total_sectors());
-  }
-  total_sectors_ = per_member * members_.size();
-}
-
-void Raid0Device::locate(std::uint64_t lba, std::size_t* member,
-                         std::uint64_t* member_lba) const {
-  const std::uint64_t chunk = lba / chunk_sectors_;
-  const std::uint64_t in_chunk = lba % chunk_sectors_;
-  *member = static_cast<std::size_t>(chunk % members_.size());
-  *member_lba = (chunk / members_.size()) * chunk_sectors_ + in_chunk;
-}
-
-BlockIo Raid0Device::run_chunked(sim::SimTime now, std::uint64_t lba,
-                                 std::uint32_t sector_count,
-                                 std::span<std::byte> out,
-                                 std::span<const std::byte> in,
-                                 bool is_write) {
-  // Split the request at chunk boundaries; members work concurrently, the
-  // request completes with the slowest piece.
-  sim::SimTime done = now;
-  std::uint32_t processed = 0;
-  while (processed < sector_count) {
-    const std::uint64_t cur = lba + processed;
-    const std::uint32_t in_chunk =
-        static_cast<std::uint32_t>(cur % chunk_sectors_);
-    const std::uint32_t n = std::min(sector_count - processed,
-                                     chunk_sectors_ - in_chunk);
-    std::size_t member = 0;
-    std::uint64_t member_lba = 0;
-    locate(cur, &member, &member_lba);
-    const std::size_t byte_off =
-        static_cast<std::size_t>(processed) * kBlockSectorSize;
-    const std::size_t byte_len =
-        static_cast<std::size_t>(n) * kBlockSectorSize;
-    BlockIo io;
-    if (is_write) {
-      io = members_[member]->write(now, member_lba, n,
-                                   in.subspan(byte_off, byte_len));
-    } else {
-      io = members_[member]->read(now, member_lba, n,
-                                  out.subspan(byte_off, byte_len));
-    }
-    done = sim::max(done, io.complete);
-    if (!io.ok()) {
-      ++stats_.failed_ios;
-      return BlockIo{BlockStatus::kIoError, done};
-    }
-    processed += n;
-  }
-  return BlockIo{BlockStatus::kOk, done};
-}
-
-BlockIo Raid0Device::read(sim::SimTime now, std::uint64_t lba,
-                          std::uint32_t sector_count,
-                          std::span<std::byte> out) {
-  ++stats_.reads;
-  return run_chunked(now, lba, sector_count, out, {}, false);
-}
-
-BlockIo Raid0Device::write(sim::SimTime now, std::uint64_t lba,
-                           std::uint32_t sector_count,
-                           std::span<const std::byte> in) {
-  ++stats_.writes;
-  return run_chunked(now, lba, sector_count, {}, in, true);
-}
-
-BlockIo Raid0Device::flush(sim::SimTime now) {
-  sim::SimTime done = now;
-  for (auto* m : members_) {
-    const BlockIo io = m->flush(now);
-    done = sim::max(done, io.complete);
-    if (!io.ok()) {
-      ++stats_.failed_ios;
-      return BlockIo{BlockStatus::kIoError, done};
-    }
   }
   return BlockIo{BlockStatus::kOk, done};
 }

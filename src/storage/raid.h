@@ -1,15 +1,13 @@
-// Minimal RAID layer over BlockDevices.
+// Minimal RAID-1 layer over BlockDevices.
 //
 // Exists to quantify a deployment consequence of the acoustic attack:
 // redundancy assumes *independent* drive failures, but an attack on a
 // shared enclosure kills all members at once (see bench/ablation_rack).
 //
-//  * Raid1Device — mirror: writes go to every member (command completion
-//    = slowest member), reads are served by the first member that
-//    answers, failing over on error. The array stays available as long
-//    as one member serves.
-//  * Raid0Device — stripe: chunks alternate across members; any member
-//    failure fails the affected I/O (no redundancy, more spindles).
+// Raid1Device is a mirror: writes go to every member (command completion
+// = slowest member), reads are served by the first member that answers,
+// failing over on error. The array stays available as long as one member
+// serves.
 #pragma once
 
 #include <cstdint>
@@ -62,36 +60,6 @@ class Raid1Device final : public BlockDevice {
   std::uint32_t eject_after_errors_;
   std::vector<bool> failed_;
   std::vector<std::uint32_t> consecutive_errors_;
-  RaidStats stats_;
-};
-
-class Raid0Device final : public BlockDevice {
- public:
-  Raid0Device(std::vector<BlockDevice*> members,
-              std::uint32_t chunk_sectors = 128);
-
-  std::uint64_t total_sectors() const override { return total_sectors_; }
-
-  BlockIo read(sim::SimTime now, std::uint64_t lba,
-               std::uint32_t sector_count, std::span<std::byte> out) override;
-  BlockIo write(sim::SimTime now, std::uint64_t lba,
-                std::uint32_t sector_count,
-                std::span<const std::byte> in) override;
-  BlockIo flush(sim::SimTime now) override;
-
-  const RaidStats& stats() const { return stats_; }
-
- private:
-  /// Map an array LBA to (member, member LBA).
-  void locate(std::uint64_t lba, std::size_t* member,
-              std::uint64_t* member_lba) const;
-  BlockIo run_chunked(sim::SimTime now, std::uint64_t lba,
-                      std::uint32_t sector_count, std::span<std::byte> out,
-                      std::span<const std::byte> in, bool is_write);
-
-  std::vector<BlockDevice*> members_;
-  std::uint32_t chunk_sectors_;
-  std::uint64_t total_sectors_;
   RaidStats stats_;
 };
 

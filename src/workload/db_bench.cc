@@ -7,9 +7,17 @@
 
 namespace deepnote::workload {
 
-using storage::kvdb::Db;
 using storage::kvdb::DbGetResult;
 using storage::kvdb::DbResult;
+
+namespace {
+
+/// Filesystem writeback cadence and chunk, shared by fillseq's inline
+/// writeback and readwhilewriting's writeback daemon.
+constexpr sim::Duration kWritebackInterval = sim::Duration::from_millis(100);
+constexpr std::uint64_t kWritebackChunkBytes = 8ull << 20;
+
+}  // namespace
 
 void DbBench::make_key_into(std::uint64_t index, std::uint32_t key_bytes,
                             std::string& out) {
@@ -71,7 +79,7 @@ sim::SimTime DbBench::fillseq(sim::SimTime start, std::uint64_t count,
     // Keep the filesystem daemons roughly current during the preload.
     if ((i & 0x3ff) == 0) {
       if (fs_.commit_due(t)) t = fs_.commit(t).done;
-      storage::FsResult wb = fs_.writeback(t, config.writeback_chunk_bytes);
+      storage::FsResult wb = fs_.writeback(t, kWritebackChunkBytes);
       if (wb.ok()) t = wb.done;
     }
   }
@@ -161,12 +169,9 @@ DbBenchReport DbBench::readwhilewriting(sim::SimTime start,
   LambdaActor writeback_daemon(
       start, [&](sim::SimTime now) -> sim::SimTime {
         if (fs_.read_only()) return sim::SimTime::infinity();
-        if (fs_.dirty_bytes() == 0) {
-          return now + config.writeback_interval;
-        }
-        storage::FsResult r =
-            fs_.writeback(now, config.writeback_chunk_bytes);
-        return sim::max(r.done, now + config.writeback_interval);
+        if (fs_.dirty_bytes() == 0) return now + kWritebackInterval;
+        storage::FsResult r = fs_.writeback(now, kWritebackChunkBytes);
+        return sim::max(r.done, now + kWritebackInterval);
       });
 
   ActorScheduler sched;
@@ -187,176 +192,6 @@ DbBenchReport DbBench::readwhilewriting(sim::SimTime start,
   report.fatal_time = db_.fatal_time();
   report.end_time = sim::max(last, window_end);
   return report;
-}
-
-
-namespace {
-
-/// Shared scaffolding for the single-actor benchmark loops: runs `op`
-/// (returning its completion time, recording into the meter itself) with
-/// the fs daemons alongside.
-DbBenchReport run_single_actor(
-    storage::ExtFs& fs, Db& db, sim::SimTime start,
-    const DbBenchConfig& config,
-    const std::function<sim::SimTime(sim::SimTime, WindowMeter&)>& op) {
-  const sim::SimTime window_start = start + config.ramp;
-  const sim::SimTime window_end = window_start + config.duration;
-  WindowMeter meter(window_start, window_end);
-
-  LambdaActor worker(start, [&](sim::SimTime now) -> sim::SimTime {
-    if (db.fatal()) return sim::SimTime::infinity();
-    return op(now, meter);
-  });
-  LambdaActor flush_daemon(start, [&](sim::SimTime now) -> sim::SimTime {
-    if (db.fatal()) return sim::SimTime::infinity();
-    if (db.flush_pending()) {
-      DbResult r = db.do_flush(now);
-      return sim::max(r.done, now + sim::Duration::from_millis(10));
-    }
-    return now + sim::Duration::from_millis(10);
-  });
-  LambdaActor commit_daemon(start, [&](sim::SimTime now) -> sim::SimTime {
-    if (fs.read_only()) return sim::SimTime::infinity();
-    if (fs.commit_due(now)) {
-      storage::FsResult r = fs.commit(now);
-      return sim::max(r.done, now + sim::Duration::from_millis(100));
-    }
-    return now + sim::Duration::from_millis(100);
-  });
-  LambdaActor writeback_daemon(start, [&](sim::SimTime now) -> sim::SimTime {
-    if (fs.read_only() || fs.dirty_bytes() == 0) {
-      return now + config.writeback_interval;
-    }
-    storage::FsResult r = fs.writeback(now, config.writeback_chunk_bytes);
-    return sim::max(r.done, now + config.writeback_interval);
-  });
-
-  ActorScheduler sched;
-  sched.add(worker);
-  sched.add(flush_daemon);
-  sched.add(commit_daemon);
-  sched.add(writeback_daemon);
-  const sim::SimTime last = sched.run_until(window_end);
-
-  DbBenchReport report;
-  report.throughput_mbps = meter.throughput_mbps();
-  report.ops_per_second = meter.ops_per_second();
-  report.ops = meter.ops();
-  report.errors = meter.errors();
-  report.db_fatal = db.fatal();
-  report.fatal_message = db.fatal_message();
-  report.fatal_time = db.fatal_time();
-  report.end_time = sim::max(last, window_end);
-  return report;
-}
-
-}  // namespace
-
-DbBenchReport DbBench::readrandom(sim::SimTime start,
-                                  const DbBenchConfig& config) {
-  sim::Rng rng(config.seed ^ 0x0dd0);
-  const std::uint64_t space = std::max<std::uint64_t>(config.preload_keys, 1);
-  return run_single_actor(
-      fs_, db_, start, config,
-      [&, rng](sim::SimTime now, WindowMeter& meter) mutable -> sim::SimTime {
-        const auto idx = static_cast<std::uint64_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(space) - 1));
-        make_key_into(idx, config.key_bytes, key_scratch_);
-        DbGetResult r = db_.get(now, key_scratch_);
-        if (r.err == storage::Errno::kEAGAIN) {
-          return r.done + sim::Duration::from_millis(10);
-        }
-        if (r.ok()) {
-          meter.record_ok(now, r.done,
-                          config.key_bytes + (r.found ? r.value.size() : 0));
-        } else {
-          meter.record_error(r.done);
-        }
-        return r.done;
-      });
-}
-
-DbBenchReport DbBench::fillrandom(sim::SimTime start,
-                                  const DbBenchConfig& config) {
-  sim::Rng rng(config.seed ^ 0xf111);
-  const std::uint64_t space =
-      std::max<std::uint64_t>(config.preload_keys, 1) * 4;
-  return run_single_actor(
-      fs_, db_, start, config,
-      [&, rng](sim::SimTime now, WindowMeter& meter) mutable -> sim::SimTime {
-        const auto idx = static_cast<std::uint64_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(space) - 1));
-        make_key_into(idx, config.key_bytes, key_scratch_);
-        make_value_into(idx, config.value_bytes, value_scratch_);
-        DbResult r = db_.put(now, key_scratch_, value_scratch_);
-        if (r.err == storage::Errno::kEAGAIN) {
-          return r.done + sim::Duration::from_millis(10);
-        }
-        if (r.ok()) {
-          meter.record_ok(now, r.done,
-                          config.key_bytes + config.value_bytes);
-        } else {
-          meter.record_error(r.done);
-        }
-        return r.done + config.writer_think;
-      });
-}
-
-DbBenchReport DbBench::overwrite(sim::SimTime start,
-                                 const DbBenchConfig& config) {
-  DbBenchConfig cfg = config;
-  // Overwrite == fillrandom constrained to the existing key space.
-  sim::Rng rng(config.seed ^ 0x0ee0);
-  const std::uint64_t space = std::max<std::uint64_t>(config.preload_keys, 1);
-  return run_single_actor(
-      fs_, db_, start, cfg,
-      [&, rng](sim::SimTime now, WindowMeter& meter) mutable -> sim::SimTime {
-        const auto idx = static_cast<std::uint64_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(space) - 1));
-        make_key_into(idx, config.key_bytes, key_scratch_);
-        make_value_into(idx + 1, config.value_bytes, value_scratch_);
-        DbResult r = db_.put(now, key_scratch_, value_scratch_);
-        if (r.err == storage::Errno::kEAGAIN) {
-          return r.done + sim::Duration::from_millis(10);
-        }
-        if (r.ok()) {
-          meter.record_ok(now, r.done,
-                          config.key_bytes + config.value_bytes);
-        } else {
-          meter.record_error(r.done);
-        }
-        return r.done + config.writer_think;
-      });
-}
-
-DbBenchReport DbBench::seekrandom(sim::SimTime start,
-                                  const DbBenchConfig& config,
-                                  std::uint32_t nexts_per_seek) {
-  sim::Rng rng(config.seed ^ 0x5eec);
-  const std::uint64_t space = std::max<std::uint64_t>(config.preload_keys, 1);
-  return run_single_actor(
-      fs_, db_, start, config,
-      [&, rng](sim::SimTime now, WindowMeter& meter) mutable -> sim::SimTime {
-        const auto idx = static_cast<std::uint64_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(space) - 1));
-        std::uint64_t bytes = 0;
-        std::uint32_t visited = 0;
-        make_key_into(idx, config.key_bytes, key_scratch_);
-        auto r = db_.scan(now, key_scratch_, "",
-                          [&](std::string_view key, std::string_view value) {
-                            bytes += key.size() + value.size();
-                            return ++visited < nexts_per_seek;
-                          });
-        if (r.err == storage::Errno::kEAGAIN) {
-          return r.done + sim::Duration::from_millis(10);
-        }
-        if (r.ok()) {
-          meter.record_ok(now, r.done, bytes);
-        } else {
-          meter.record_error(r.done);
-        }
-        return r.done;
-      });
 }
 
 }  // namespace deepnote::workload

@@ -33,9 +33,6 @@ struct DbBenchConfig {
   sim::Duration duration = sim::Duration::from_seconds(30.0);
   /// Keys preloaded before the measured phase.
   std::uint64_t preload_keys = 100000;
-  /// Filesystem writeback daemon cadence and chunk.
-  sim::Duration writeback_interval = sim::Duration::from_millis(100);
-  std::uint64_t writeback_chunk_bytes = 8ull << 20;
   std::uint64_t seed = 0xdbbe;
 };
 
@@ -62,21 +59,6 @@ class DbBench {
   /// The paper's Table 2 workload.
   DbBenchReport readwhilewriting(sim::SimTime start,
                                  const DbBenchConfig& config);
-
-  /// Uniform-random point lookups over the preloaded key space.
-  DbBenchReport readrandom(sim::SimTime start, const DbBenchConfig& config);
-
-  /// Random-key inserts (keys drawn uniformly from a space 4x the
-  /// preload count, so a mix of fresh inserts and overwrites).
-  DbBenchReport fillrandom(sim::SimTime start, const DbBenchConfig& config);
-
-  /// Overwrites of existing keys (uniform over the preload space).
-  DbBenchReport overwrite(sim::SimTime start, const DbBenchConfig& config);
-
-  /// Random seeks: position a range scan at a random key and read a
-  /// short run of entries (db_bench's seekrandom with seek_nexts).
-  DbBenchReport seekrandom(sim::SimTime start, const DbBenchConfig& config,
-                           std::uint32_t nexts_per_seek = 10);
 
   static std::string make_key(std::uint64_t index, std::uint32_t key_bytes);
   static std::string make_value(std::uint64_t index,

@@ -2,64 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <vector>
-
 #include "sim/rng.h"
 
 namespace deepnote::sim {
 namespace {
-
-TEST(OnlineStatsTest, EmptyIsZero) {
-  OnlineStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.sum(), 0.0);
-}
-
-TEST(OnlineStatsTest, MatchesDirectComputation) {
-  const std::vector<double> xs{1.0, 2.0, 4.0, 8.0, 16.0};
-  OnlineStats s;
-  for (double x : xs) s.add(x);
-  EXPECT_EQ(s.count(), xs.size());
-  EXPECT_DOUBLE_EQ(s.mean(), 6.2);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 16.0);
-  EXPECT_NEAR(s.sum(), 31.0, 1e-12);
-  // Population variance of {1,2,4,8,16}.
-  double var = 0;
-  for (double x : xs) var += (x - 6.2) * (x - 6.2);
-  var /= xs.size();
-  EXPECT_NEAR(s.variance(), var, 1e-12);
-  EXPECT_NEAR(s.stddev(), std::sqrt(var), 1e-12);
-}
-
-TEST(OnlineStatsTest, MergeEqualsCombinedStream) {
-  Rng rng(3);
-  OnlineStats all, a, b;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.gaussian(10, 3);
-    all.add(x);
-    (i % 2 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-6);
-  EXPECT_EQ(a.min(), all.min());
-  EXPECT_EQ(a.max(), all.max());
-}
-
-TEST(OnlineStatsTest, MergeWithEmpty) {
-  OnlineStats a, b;
-  a.add(5.0);
-  a.merge(b);  // no-op
-  EXPECT_EQ(a.count(), 1u);
-  b.merge(a);  // adopt
-  EXPECT_EQ(b.count(), 1u);
-  EXPECT_EQ(b.mean(), 5.0);
-}
 
 TEST(LatencyHistogramTest, EmptyQuantilesZero) {
   LatencyHistogram h;
@@ -111,26 +57,6 @@ TEST(LatencyHistogramTest, QuantileMonotoneInQ) {
     EXPECT_GE(v, prev) << "q=" << q;
     prev = v;
   }
-}
-
-TEST(RateMeterTest, ThroughputAndOps) {
-  RateMeter m;
-  m.start(SimTime::from_seconds(5.0));
-  m.add_bytes(10'000'000);
-  m.add_ops(100);
-  m.stop(SimTime::from_seconds(15.0));
-  EXPECT_DOUBLE_EQ(m.throughput_mbps(), 1.0);
-  EXPECT_DOUBLE_EQ(m.ops_per_second(), 10.0);
-  EXPECT_EQ(m.elapsed().seconds(), 10.0);
-}
-
-TEST(RateMeterTest, ZeroElapsedIsZeroRate) {
-  RateMeter m;
-  m.start(SimTime::from_seconds(1.0));
-  m.stop(SimTime::from_seconds(1.0));
-  m.add_bytes(1000);
-  EXPECT_EQ(m.throughput_mbps(), 0.0);
-  EXPECT_EQ(m.ops_per_second(), 0.0);
 }
 
 }  // namespace

@@ -261,6 +261,39 @@ TEST(DbTest, TombstonesSurviveFlushAndCompaction) {
   EXPECT_FALSE(found);
 }
 
+// A get must stop at the newest container that knows the key: a memtable
+// entry shadows the version already flushed to an SST beneath it.
+TEST(DbTest, MemtableVersionShadowsFlushedValue) {
+  DbFixture fx;
+  fx.put("k", "old");
+  auto fr = fx.db->flush(fx.t);
+  ASSERT_TRUE(fr.ok());
+  fx.t = fr.done;
+  ASSERT_EQ(fx.db->l0_count(), 1u);
+  ASSERT_EQ(fx.db->memtable_bytes(), 0u);
+  fx.put("k", "new");
+  ASSERT_GT(fx.db->memtable_bytes(), 0u);
+  bool found = false;
+  EXPECT_EQ(fx.get("k", &found), "new");
+  EXPECT_TRUE(found);
+}
+
+TEST(DbTest, MemtableTombstoneHidesFlushedValue) {
+  DbFixture fx;
+  fx.put("k", "v");
+  auto fr = fx.db->flush(fx.t);
+  ASSERT_TRUE(fr.ok());
+  fx.t = fr.done;
+  ASSERT_EQ(fx.db->l0_count(), 1u);
+  auto dr = fx.db->del(fx.t, "k");
+  ASSERT_TRUE(dr.ok());
+  fx.t = dr.done;
+  ASSERT_GT(fx.db->memtable_bytes(), 0u);
+  bool found = true;
+  EXPECT_EQ(fx.get("k", &found), "");
+  EXPECT_FALSE(found);
+}
+
 TEST(DbTest, RecoveryFromWal) {
   MemDisk disk{(512ull << 20) / 512};
   SimTime t = SimTime::zero();

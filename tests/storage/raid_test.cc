@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <span>
 #include <vector>
 
 #include "storage/mem_disk.h"
@@ -77,32 +75,6 @@ TEST(Raid1Test, ExposesSmallestMember) {
   EXPECT_EQ(raid.total_sectors(), 512u);
 }
 
-TEST(Raid0Test, StripesAcrossMembersAndRoundTrips) {
-  MemDisk a(1024), b(1024);
-  Raid0Device raid({&a, &b}, /*chunk_sectors=*/8);
-  EXPECT_EQ(raid.total_sectors(), 2048u);
-  // Write a large region spanning several chunks, read it back.
-  auto data = pattern(64, 0x5a);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<std::byte>(i & 0xff);
-  }
-  ASSERT_TRUE(raid.write(SimTime::zero(), 4, 64, data).ok());
-  std::vector<std::byte> out(data.size());
-  ASSERT_TRUE(raid.read(SimTime::zero(), 4, 64, out).ok());
-  EXPECT_EQ(out, data);
-  // Both members actually hold data (striping happened).
-  EXPECT_GT(a.op_count(), 2u);
-  EXPECT_GT(b.op_count(), 2u);
-}
-
-TEST(Raid0Test, AnyMemberFailureFailsIo) {
-  MemDisk a(1024), b(1024);
-  Raid0Device raid({&a, &b}, 8);
-  b.set_failing(true);
-  auto data = pattern(32, 0x01);
-  EXPECT_FALSE(raid.write(SimTime::zero(), 0, 32, data).ok());
-}
-
 TEST(Raid1Test, EjectsMemberAfterConsecutiveErrors) {
   MemDisk a(1024), b(1024);
   Raid1Device raid({&a, &b}, /*eject_after_errors=*/2);
@@ -123,66 +95,6 @@ TEST(Raid1Test, EjectsMemberAfterConsecutiveErrors) {
   EXPECT_EQ(raid.active_members(), 2u);
   ASSERT_TRUE(raid.write(SimTime::zero(), 24, 8, data).ok());
   EXPECT_GT(a.op_count(), ops_before);
-}
-
-TEST(Raid0Test, SpansChunkBoundariesAtOddOffsets) {
-  MemDisk a(1024), b(1024), c(1024);
-  Raid0Device raid({&a, &b, &c}, /*chunk_sectors=*/8);
-  // 21 sectors starting mid-chunk at lba 5: crosses three chunk
-  // boundaries (5..7 | 8..15 | 16..23 | 24..25) over all three members.
-  auto data = pattern(21, 0);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<std::byte>((i * 7 + 3) & 0xff);
-  }
-  ASSERT_TRUE(raid.write(SimTime::zero(), 5, 21, data).ok());
-  std::vector<std::byte> out(data.size());
-  ASSERT_TRUE(raid.read(SimTime::zero(), 5, 21, out).ok());
-  EXPECT_EQ(out, data);
-
-  // Verify the member mapping directly: array chunk k lives on member
-  // k % 3 at member chunk k / 3. Chunks 0,1,2,3 hold lbas 5..25.
-  struct Extent {
-    MemDisk* member;
-    std::uint64_t member_lba;  // first member sector of the extent
-    std::uint32_t sectors;
-    std::size_t data_offset;  // offset into `data`, in sectors
-  };
-  const std::vector<Extent> extents = {
-      {&a, 5, 3, 0},   // array 5..7   -> chunk 0, member 0
-      {&b, 0, 8, 3},   // array 8..15  -> chunk 1, member 1
-      {&c, 0, 8, 11},  // array 16..23 -> chunk 2, member 2
-      {&a, 8, 2, 19},  // array 24..25 -> chunk 3, member 0
-  };
-  for (const Extent& e : extents) {
-    std::vector<std::byte> member_out(
-        static_cast<std::size_t>(e.sectors) * kBlockSectorSize);
-    ASSERT_TRUE(
-        e.member->read(SimTime::zero(), e.member_lba, e.sectors, member_out)
-            .ok());
-    const std::span<const std::byte> expected(
-        data.data() + e.data_offset * kBlockSectorSize, member_out.size());
-    EXPECT_TRUE(std::equal(member_out.begin(), member_out.end(),
-                           expected.begin(), expected.end()));
-  }
-}
-
-TEST(Raid0Test, SingleSectorReadsRoundTripEveryOffset) {
-  MemDisk a(256), b(256);
-  Raid0Device raid({&a, &b}, /*chunk_sectors=*/4);
-  auto data = pattern(64, 0);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<std::byte>(i % 251);
-  }
-  ASSERT_TRUE(raid.write(SimTime::zero(), 0, 64, data).ok());
-  std::vector<std::byte> out(kBlockSectorSize);
-  for (std::uint64_t lba = 0; lba < 64; ++lba) {
-    ASSERT_TRUE(raid.read(SimTime::zero(), lba, 1, out).ok()) << lba;
-    const std::span<const std::byte> expected(
-        data.data() + lba * kBlockSectorSize, kBlockSectorSize);
-    EXPECT_TRUE(std::equal(out.begin(), out.end(), expected.begin(),
-                           expected.end()))
-        << "sector " << lba;
-  }
 }
 
 TEST(Raid1Test, ContinuesDegradedServiceAfterEjection) {
@@ -219,8 +131,6 @@ TEST(Raid1Test, ContinuesDegradedServiceAfterEjection) {
 
 TEST(RaidTest, InvalidConfigsThrow) {
   EXPECT_THROW(Raid1Device raid({}), std::invalid_argument);
-  MemDisk a(64);
-  EXPECT_THROW(Raid0Device raid({&a}, 0), std::invalid_argument);
 }
 
 }  // namespace

@@ -69,16 +69,6 @@ TEST(DbBenchTest, FillseqLoadsAllKeys) {
   EXPECT_TRUE(g.found);
 }
 
-TEST(DbBenchTest, ReadRandomFindsPreloadedKeys) {
-  BenchFixture fx;
-  fx.preload();
-  const DbBenchReport report = fx.bench().readrandom(fx.t, fx.cfg);
-  EXPECT_GT(report.ops, 1000u);
-  EXPECT_GT(report.throughput_mbps, 0.0);
-  EXPECT_EQ(report.errors, 0u);
-  EXPECT_FALSE(report.db_fatal);
-}
-
 TEST(DbBenchTest, ReadWhileWritingMixesActors) {
   BenchFixture fx;
   fx.preload();
@@ -88,35 +78,6 @@ TEST(DbBenchTest, ReadWhileWritingMixesActors) {
   EXPECT_GT(report.ops, 1000u);
   // The writer extended the key space beyond the preload.
   EXPECT_GT(fx.db->last_sequence(), fx.cfg.preload_keys);
-}
-
-TEST(DbBenchTest, FillRandomGrowsStore) {
-  BenchFixture fx;
-  fx.preload();
-  const std::uint64_t puts_before = fx.db->stats().puts;
-  const DbBenchReport report = fx.bench().fillrandom(fx.t, fx.cfg);
-  EXPECT_GT(report.ops, 1000u);
-  EXPECT_GT(fx.db->stats().puts, puts_before + 1000);
-}
-
-TEST(DbBenchTest, OverwriteKeepsKeySpace) {
-  BenchFixture fx;
-  fx.preload();
-  const DbBenchReport report = fx.bench().overwrite(fx.t, fx.cfg);
-  EXPECT_GT(report.ops, 1000u);
-  // Spot-check: an overwritten key returns the new value shape.
-  auto g = fx.db->get(report.end_time, DbBench::make_key(5, 16));
-  EXPECT_TRUE(g.found);
-}
-
-TEST(DbBenchTest, SeekRandomScansRuns) {
-  BenchFixture fx;
-  fx.preload();
-  const DbBenchReport report = fx.bench().seekrandom(fx.t, fx.cfg, 10);
-  EXPECT_GT(report.ops, 100u);
-  // Each op moved ~10 entries of ~80 bytes.
-  EXPECT_GT(report.throughput_mbps,
-            report.ops_per_second * 400 / 1e6);
 }
 
 TEST(DbBenchTest, ReportsFatalWhenDeviceDies) {
