@@ -58,13 +58,18 @@ Geometry Geometry::tiny_test_drive() {
                   std::move(zones)};
 }
 
-PhysicalAddress Geometry::locate(std::uint64_t lba) const {
+std::uint32_t Geometry::zone_of(std::uint64_t lba) const {
   if (lba >= total_sectors_) {
     throw std::out_of_range("geometry: LBA beyond device");
   }
   // Zones are few; linear scan is fine and branch-predictable.
   std::uint32_t zi = 0;
   while (lba >= zone_first_lba_[zi + 1]) ++zi;
+  return zi;
+}
+
+PhysicalAddress Geometry::locate(std::uint64_t lba) const {
+  const std::uint32_t zi = zone_of(lba);
   const Zone& z = zones_[zi];
   const std::uint64_t in_zone = lba - zone_first_lba_[zi];
   const std::uint64_t per_cyl =
@@ -79,7 +84,7 @@ PhysicalAddress Geometry::locate(std::uint64_t lba) const {
 }
 
 std::uint32_t Geometry::sectors_per_track_at(std::uint64_t lba) const {
-  return zones_[locate(lba).zone].sectors_per_track;
+  return zones_[zone_of(lba)].sectors_per_track;
 }
 
 double Geometry::media_rate_bps(std::uint64_t lba) const {

@@ -64,6 +64,10 @@ class Geometry {
   double media_rate_bps(std::uint64_t lba) const;
 
  private:
+  /// The LBA's zone index: locate() without the cylinder/head/sector
+  /// divisions. Throws std::out_of_range like locate().
+  std::uint32_t zone_of(std::uint64_t lba) const;
+
   std::uint32_t heads_;
   double rpm_;
   double track_pitch_nm_;

@@ -88,6 +88,11 @@ class BlockDevice {
     (void)sector_count;
     return BlockIo{BlockStatus::kOk, now};
   }
+
+  /// Start loading the state the next command will touch, for a caller
+  /// about to command a device it has not touched lately. A hint only:
+  /// it changes no state, and the default does nothing.
+  virtual void prefetch() const {}
 };
 
 inline constexpr std::uint32_t kBlockSectorSize = 512;

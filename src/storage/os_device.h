@@ -43,6 +43,7 @@ class OsBlockDevice final : public BlockDevice {
                 std::uint32_t sector_count,
                 std::span<const std::byte> in) override;
   BlockIo flush(sim::SimTime now) override;
+  void prefetch() const override { drive_.prefetch(); }
 
   const OsDeviceStats& stats() const { return stats_; }
   const OsDeviceConfig& config() const { return config_; }

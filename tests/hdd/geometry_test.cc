@@ -31,6 +31,9 @@ TEST(GeometryTest, LocateFirstAndLastSector) {
 TEST(GeometryTest, LocateBeyondDeviceThrows) {
   const Geometry g = Geometry::tiny_test_drive();
   EXPECT_THROW(g.locate(g.total_sectors()), std::out_of_range);
+  // The zone-only lookups bounds-check the same way.
+  EXPECT_THROW(g.sectors_per_track_at(g.total_sectors()), std::out_of_range);
+  EXPECT_THROW(g.media_rate_bps(g.total_sectors()), std::out_of_range);
 }
 
 TEST(GeometryTest, MappingIsInjective) {
@@ -92,8 +95,11 @@ TEST_P(ZoneBoundaryTest, ZoneIndexMatchesLocate) {
            g.zones()[i].sectors_per_track;
   }
   EXPECT_EQ(g.locate(lba).zone, zi);
+  EXPECT_EQ(g.sectors_per_track_at(lba), g.zones()[zi].sectors_per_track);
   if (lba > 0) {
     EXPECT_EQ(g.locate(lba - 1).zone, zi - 1);
+    EXPECT_EQ(g.sectors_per_track_at(lba - 1),
+              g.zones()[zi - 1].sectors_per_track);
   }
 }
 

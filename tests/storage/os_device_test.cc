@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "hdd/drive.h"
+#include "sim/rng.h"
 
 namespace deepnote::storage {
 namespace {
@@ -121,6 +123,87 @@ TEST(OsDeviceTest, MediaErrorsAreRetriedImmediately) {
   EXPECT_LT(t.seconds(), 60.0);
   EXPECT_EQ(dev.stats().timeouts, 0u);
   EXPECT_EQ(dev.stats().buffer_io_errors, media_error_commands);
+}
+
+TEST(OsDeviceTest, PrefetchHintChangesNothing) {
+  // Two same-seed drives run one seeded mixed stream: random and
+  // sequential reads, writes through a small cache, flushes, tones that
+  // fault, false-trip and park the heads, and the command timeouts a
+  // parked drive causes. Only one device gets the prefetch hint before
+  // every command, and every result must still agree.
+  hdd::HddConfig cfg = drive_config();
+  cfg.servo.false_trip_max_hz = 6.0;
+  cfg.write_cache_bytes = 64 * 1024;
+  OsDeviceConfig os;
+  os.command_timeout = Duration::from_millis(150.0);
+  os.attempts = 2;
+  hdd::Hdd plain_drive(cfg);
+  hdd::Hdd hinted_drive(cfg);
+  OsBlockDevice plain(plain_drive, os);
+  OsBlockDevice hinted(hinted_drive, os);
+  const BlockDevice& hint = hinted;
+
+  const structure::DriveExcitation tones[] = {
+      {}, {650.0, 1500.0, true}, {650.0, 2200.0, true}, park_tone()};
+  sim::Rng rng(0x7e1);
+  std::vector<std::byte> in(8 * kBlockSectorSize);
+  std::vector<std::byte> out_plain(in.size());
+  std::vector<std::byte> out_hinted(in.size());
+  SimTime t = SimTime::zero();
+  std::uint64_t lba = 0;
+  for (int i = 0; i < 4000; ++i) {
+    t = t + Duration::from_seconds(rng.exponential(0.005));
+    const double pick = rng.next_double();
+    if (pick < 0.05) {
+      const structure::DriveExcitation& tone = tones[rng.next_u64() % 4];
+      plain_drive.set_excitation(t, tone);
+      hinted_drive.set_excitation(t, tone);
+      continue;
+    }
+    // 2,048 objects keep the retained bytes small.
+    lba = rng.bernoulli(0.3) ? (lba + 8) % (2048 * 8)
+                             : (rng.next_u64() % 2048) * 8;
+    hint.prefetch();
+    BlockIo a;
+    BlockIo b;
+    if (pick < 0.55) {
+      a = plain.read(t, lba, 8, out_plain);
+      b = hinted.read(t, lba, 8, out_hinted);
+      ASSERT_EQ(out_plain, out_hinted) << "command " << i;
+    } else if (pick < 0.95) {
+      std::fill(in.begin(), in.end(), static_cast<std::byte>(i));
+      a = plain.write(t, lba, 8, in);
+      b = hinted.write(t, lba, 8, in);
+    } else {
+      a = plain.flush(t);
+      b = hinted.flush(t);
+    }
+    ASSERT_EQ(a.status, b.status) << "command " << i;
+    ASSERT_EQ(a.complete, b.complete) << "command " << i;
+    ASSERT_EQ(plain_drive.parked(), hinted_drive.parked()) << "command " << i;
+    t = sim::max(t, a.complete);
+  }
+
+  const hdd::HddStats& p = plain_drive.stats();
+  const hdd::HddStats& h = hinted_drive.stats();
+  EXPECT_EQ(p.reads, h.reads);
+  EXPECT_EQ(p.writes, h.writes);
+  EXPECT_EQ(p.flushes, h.flushes);
+  EXPECT_EQ(p.bytes_read, h.bytes_read);
+  EXPECT_EQ(p.bytes_written, h.bytes_written);
+  EXPECT_EQ(p.media_retries, h.media_retries);
+  EXPECT_EQ(p.media_errors, h.media_errors);
+  EXPECT_EQ(p.hung_commands, h.hung_commands);
+  EXPECT_EQ(p.shock_parks, h.shock_parks);
+  EXPECT_EQ(plain.stats().commands, hinted.stats().commands);
+  EXPECT_EQ(plain.stats().timeouts, hinted.stats().timeouts);
+  EXPECT_EQ(plain.stats().device_resets, hinted.stats().device_resets);
+  EXPECT_EQ(plain.stats().buffer_io_errors, hinted.stats().buffer_io_errors);
+  // The stream reached every path it claims to.
+  EXPECT_GT(p.flushes, 0u);
+  EXPECT_GT(p.media_retries, 0u);
+  EXPECT_GT(p.shock_parks, 0u);
+  EXPECT_GT(plain.stats().timeouts, 0u);
 }
 
 TEST(OsDeviceTest, TotalSectorsMatchesDrive) {
