@@ -254,20 +254,43 @@ static void BM_MemTablePut(benchmark::State& state) {
 }
 BENCHMARK(BM_MemTablePut);
 
+// Point gets on one full db_bench write buffer: 131,072 entries (16 MB at
+// the memtable's byte estimate) with 16-byte keys and 64-byte values,
+// inserted in a shuffled order as random writes would. The argument picks
+// hits (0) or misses (1): a miss asks for an odd key index, which falls
+// between two stored even ones. Keys are built before timing and visited
+// in a scattered order.
 static void BM_MemTableGet(benchmark::State& state) {
+  constexpr std::uint64_t kEntries = 131072;
+  const workload::DbBenchConfig bcfg;
+  const std::uint32_t key_bytes = bcfg.key_bytes;
+  std::vector<std::uint64_t> order(kEntries);
+  for (std::uint64_t i = 0; i < kEntries; ++i) order[i] = i;
+  sim::Rng rng(1);
+  for (std::uint64_t i = kEntries - 1; i > 0; --i) {
+    std::swap(order[i], order[rng.next_u64() % (i + 1)]);
+  }
   storage::kvdb::MemTable mt;
-  for (std::uint64_t i = 0; i < 100000; ++i) {
-    mt.put("key" + std::to_string(i), "value", i + 1);
+  std::uint64_t seq = 0;
+  for (const std::uint64_t i : order) {
+    mt.put(workload::DbBench::make_key(2 * i, key_bytes),
+           workload::DbBench::make_value(i, bcfg.value_bytes), ++seq);
+  }
+  const std::uint64_t miss = state.range(0) != 0 ? 1 : 0;
+  std::string probes;
+  for (std::uint64_t i = 0; i < kEntries; ++i) {
+    probes += workload::DbBench::make_key(2 * i + miss, key_bytes);
   }
   std::string v;
   std::uint64_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        mt.get("key" + std::to_string(i++ % 100000), &v));
+    i = (i + 7919) % kEntries;
+    benchmark::DoNotOptimize(mt.get(
+        std::string_view(probes).substr(i * key_bytes, key_bytes), &v));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_MemTableGet);
+BENCHMARK(BM_MemTableGet)->ArgName("miss")->Arg(0)->Arg(1);
 
 static void BM_ExtFsBufferedWrite4k(benchmark::State& state) {
   storage::MemDisk disk((1ull << 30) / 512);

@@ -1,14 +1,19 @@
 // Memtable: in-memory sorted buffer of recent writes.
 //
-// Entries are keyed by (user_key, inverted sequence) so that a lookup
-// finds the *newest* entry for a user key first — the RocksDB internal-key
-// trick.
+// Entries are keyed by (user_key, inverted sequence) so that the skiplist
+// orders the *newest* entry for a user key first — the RocksDB
+// internal-key trick. The flush walks the skiplist in that order. Point
+// reads go through a hash index on the user key instead, whose slot for a
+// key points at the entry the skiplist orders first for it. The index is
+// built at the first get and kept up to date by every write after it, so
+// a memtable that is only written (db_bench's preload) never pays for it.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "storage/kvdb/skiplist.h"
 
@@ -56,7 +61,9 @@ class MemTable {
            std::uint64_t sequence);
   void del(std::string_view key, std::uint64_t sequence);
 
-  LookupState get(std::string_view key, std::string* value_out) const;
+  /// One probe of the hash index: the newest entry for `key`, no seek.
+  /// The first call builds the index from the skiplist.
+  LookupState get(std::string_view key, std::string* value_out);
 
   /// Approximate memory footprint (keys + values + node overhead).
   std::uint64_t approximate_bytes() const { return bytes_; }
@@ -84,16 +91,44 @@ class MemTable {
   }
 
  private:
+  using List = SkipList<MemEntry, InternalKeyLess>;
+
+  /// Open-addressing slot: the user key's hash and the entry the skiplist
+  /// orders first for that key (nullptr: empty).
+  struct Slot {
+    std::uint64_t hash = 0;
+    const List::Node* node = nullptr;
+  };
+
   /// Encode (user_key, sequence) into the reusable scratch buffer and
   /// return a view of it — the hot-path equivalent of internal_key()
   /// without the per-call string allocation. The view is only valid until
   /// the next build_key call; the skiplist copies it on insert.
   std::string_view build_key(std::string_view user_key,
-                             std::uint64_t sequence) const;
+                             std::uint64_t sequence);
 
-  SkipList<MemEntry, InternalKeyLess> list_;
+  /// Inserts into the skiplist, then, once the index exists, indexes the
+  /// new node.
+  void insert(std::string_view key, MemEntry entry);
+  /// Points `key`'s slot at `node` if the skiplist orders it first for the
+  /// key: the key is new, or no higher sequence is stored for it.
+  void index_node(std::string_view key, const List::Node* node);
+  /// Position of the slot holding `key`, or of the empty slot where it
+  /// would go.
+  std::size_t find_slot(std::string_view key, std::uint64_t hash) const;
+  /// Doubles the index (from empty: to its first size) and re-places every
+  /// slot by its stored hash.
+  void grow_index();
+
+  // Grown on demand, not presized to the write buffer.
+  static constexpr std::size_t kInitialIndexSlots = 16;
+
+  List list_;
   std::uint64_t bytes_ = 0;
-  mutable std::string key_scratch_;  // reused by build_key (const lookups too)
+  std::string key_scratch_;  // reused by build_key
+  std::vector<Slot> index_;  // empty until the first get, then a power of
+                             // two in size and at most half full
+  std::size_t indexed_keys_ = 0;
 };
 
 // Inline: it runs at every skiplist step.

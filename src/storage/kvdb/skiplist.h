@@ -2,7 +2,8 @@
 //
 // Keys are byte strings ordered lexicographically; values are opaque.
 // Duplicate keys are allowed (callers append a sequence suffix); insert
-// places equal keys adjacent in insertion order.
+// places a key before any equal keys already stored, so equal keys sit
+// adjacent, newest first.
 //
 // Nodes live in a bump arena: one allocation holds the node, its next
 // pointers, and a copy of the key bytes. Nothing is freed individually —
@@ -25,6 +26,16 @@ namespace deepnote::storage::kvdb {
 template <typename Value, typename Less = std::less<std::string_view>>
 class SkipList {
  public:
+  /// A stored entry. Nodes never move, so a pointer to one stays valid for
+  /// the list's lifetime.
+  struct Node {
+    Value value;
+    Node** next = nullptr;        // `height` pointers, in the same arena block
+    const char* key_data = nullptr;
+    std::uint32_t key_len = 0;
+    std::string_view key() const { return {key_data, key_len}; }
+  };
+
   explicit SkipList(std::uint64_t seed = 0x5eedull, Less less = Less{})
       : rng_(seed), less_(less) {
     head_ = make_node({}, Value{}, kMaxHeight);
@@ -45,7 +56,8 @@ class SkipList {
     }
   }
 
-  void insert(std::string_view key, Value value) {
+  /// Inserts and returns the new node.
+  const Node* insert(std::string_view key, Value value) {
     std::array<Node*, kMaxHeight> prev;
     if (tail_ != nullptr && less_(tail_->key(), key)) {
       // Append fast path: the key is strictly greater than every stored
@@ -68,9 +80,12 @@ class SkipList {
     }
     if (raw->next[0] == nullptr) tail_ = raw;
     ++size_;
+    return raw;
   }
 
-  /// First node with node.key >= key, nullptr if none.
+  /// First node with node.key >= key, nullptr if none. The memtable's
+  /// point reads go through its hash index instead; tests use this seek as
+  /// the reference for that index.
   const Value* find_first_at_least(std::string_view key,
                                    std::string_view* found_key = nullptr)
       const {
@@ -82,6 +97,8 @@ class SkipList {
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  /// First node in order (nullptr when empty); walk on with next[0].
+  const Node* front() const { return head_->next[0]; }
 
   /// In-order traversal.
   void for_each(const std::function<void(std::string_view, const Value&)>&
@@ -93,14 +110,6 @@ class SkipList {
 
  private:
   static constexpr int kMaxHeight = 12;
-
-  struct Node {
-    Value value;
-    Node** next = nullptr;        // `height` pointers, in the same arena block
-    const char* key_data = nullptr;
-    std::uint32_t key_len = 0;
-    std::string_view key() const { return {key_data, key_len}; }
-  };
 
   static constexpr std::size_t kArenaBlock = std::size_t{1} << 16;
 

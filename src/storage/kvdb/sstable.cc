@@ -268,8 +268,10 @@ SstReader::OpenResult SstReader::open(ExtFs& fs, sim::SimTime now,
       e.offset = ic.get<std::uint64_t>();
       e.size = ic.get<std::uint32_t>();
       const std::uint16_t klen = ic.get<std::uint16_t>();
-      e.last_key = ic.get_string(klen);
-      reader->index_.push_back(std::move(e));
+      e.key_offset = static_cast<std::uint32_t>(reader->index_keys_.size());
+      e.key_len = klen;
+      reader->index_keys_.append(ic.get_view(klen));
+      reader->index_.push_back(e);
     }
     if (!ic.ok) {
       out.err = Errno::kEINVAL;
@@ -327,7 +329,9 @@ SstGetResult SstReader::get(sim::SimTime now, std::string_view user_key) {
   // First block whose last key >= user_key.
   auto it = std::lower_bound(
       index_.begin(), index_.end(), user_key,
-      [](const IndexEntry& e, std::string_view k) { return e.last_key < k; });
+      [this](const IndexEntry& e, std::string_view k) {
+        return last_key(e) < k;
+      });
   if (it == index_.end()) return r;
 
   std::span<const std::byte> block;

@@ -140,11 +140,19 @@ class SstReader {
  private:
   SstReader(ExtFs& fs, std::string path, std::uint32_t inode);
 
+  /// One data block. Its last user key sits in `index_keys_`, so that the
+  /// index search reads two contiguous arrays instead of chasing a heap
+  /// string per block (db_bench's 16-byte keys do not fit the small-string
+  /// buffer).
   struct IndexEntry {
     std::uint64_t offset;
     std::uint32_t size;
-    std::string last_key;
+    std::uint32_t key_offset;
+    std::uint32_t key_len;
   };
+  std::string_view last_key(const IndexEntry& ie) const {
+    return {index_keys_.data() + ie.key_offset, ie.key_len};
+  }
   /// Reads data block `ie` into `buf`, growing it as needed, and points
   /// `*block` at exactly the block's bytes. Advances `t`; a short read is
   /// kEINVAL.
@@ -156,6 +164,7 @@ class SstReader {
   std::string path_;
   std::uint32_t inode_;
   std::vector<IndexEntry> index_;
+  std::string index_keys_;  ///< every block's last key, back to back
   std::vector<std::byte> block_buf_;  ///< get()'s reused block buffer
   std::optional<BloomFilter> bloom_;
   std::string smallest_;

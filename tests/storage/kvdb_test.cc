@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -95,6 +96,121 @@ TEST(MemTableTest, BytesGrow) {
   EXPECT_EQ(mt.approximate_bytes(), 0u);
   mt.put("key", std::string(1000, 'v'), 1);
   EXPECT_GT(mt.approximate_bytes(), 1000u);
+}
+
+// Keys over a four-byte alphabet that includes the extreme byte values:
+// random keys often share prefixes, and '\0' and '\xff' check that the
+// comparisons are byte-wise.
+std::string random_key(sim::Rng& rng, std::int64_t len) {
+  static constexpr char kAlphabet[] = {'a', 'b', '\0', '\xff'};
+  std::string key(static_cast<std::size_t>(len), 'a');
+  for (char& c : key) c = kAlphabet[rng.uniform_int(0, 3)];
+  return key;
+}
+
+// Random put/del streams through a MemTable and through a skiplist that
+// receives the same internal keys. get() answers from the hash index; the
+// reference answers as get() did before the index, by seeking the skiplist
+// to (key, max sequence). For every key, written or not, both must agree
+// on the state and the value.
+TEST(MemTableTest, HashIndexMatchesSkiplistSeek) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(seed);
+    sim::Rng rng(seed);
+    // Written keys: every prefix of a few 40-byte stems (the empty key
+    // among them), then keys of 1 to 40 bytes, which cover every length of
+    // the hash's tail. Thousands of distinct keys grow the index many
+    // times over.
+    std::vector<std::string> written;
+    std::set<std::string> seen;
+    auto add_key = [&](std::string key) {
+      if (seen.insert(key).second) written.push_back(std::move(key));
+    };
+    for (int stem = 0; stem < 8; ++stem) {
+      const std::string s = random_key(rng, 40);
+      for (std::size_t len = 0; len <= s.size(); ++len) {
+        add_key(s.substr(0, len));
+      }
+    }
+    for (int i = 0; i < 3000; ++i) {
+      add_key(random_key(rng, rng.uniform_int(1, 40)));
+    }
+    ASSERT_TRUE(seen.count(""));
+    ASSERT_GT(written.size(), 3000u);
+    // Absent keys: never written, many of them one byte longer or shorter
+    // than a written key.
+    std::vector<std::string> absent;
+    for (int i = 0; i < 2000; ++i) {
+      std::string key = written[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(written.size()) - 1))];
+      if (i % 3 == 0 && !key.empty()) {
+        key.pop_back();
+      } else if (i % 3 == 1) {
+        key.push_back('\0');
+      } else {
+        key = random_key(rng, rng.uniform_int(1, 40));
+      }
+      if (!seen.count(key)) absent.push_back(std::move(key));
+    }
+    ASSERT_GT(absent.size(), 500u);
+
+    MemTable mt(seed);
+    SkipList<MemEntry, InternalKeyLess> reference(seed);
+    auto expect_same = [&](const std::string& key) {
+      LookupState want = LookupState::kMissing;
+      std::string want_value = "untouched";
+      std::string_view found;
+      const MemEntry* e = reference.find_first_at_least(
+          MemTable::internal_key(key, ~std::uint64_t{0}), &found);
+      if (e != nullptr && MemTable::user_key_of(found) == key) {
+        want = e->type == EntryType::kDelete ? LookupState::kDeleted
+                                             : LookupState::kFound;
+        if (want == LookupState::kFound) want_value = e->value;
+      }
+      std::string got_value = "untouched";
+      EXPECT_EQ(mt.get(key, &got_value), want) << testing::PrintToString(key);
+      EXPECT_EQ(got_value, want_value) << testing::PrintToString(key);
+    };
+    auto expect_all_same = [&] {
+      for (const std::string& key : written) expect_same(key);
+      for (const std::string& key : absent) expect_same(key);
+    };
+
+    std::uint64_t seq = 1000;
+    std::size_t prev_key = 0;
+    std::uint64_t prev_seq = 0;
+    for (int op = 0; op < 40000; ++op) {
+      // Half the writes go to 32 hot keys, so those get many versions.
+      std::size_t k = static_cast<std::size_t>(rng.uniform_int(
+          0, rng.bernoulli(0.5) ? 31
+                                : static_cast<std::int64_t>(written.size()) -
+                                      1));
+      std::uint64_t s = ++seq;
+      if (rng.bernoulli(0.05)) {
+        // The previous write's key and sequence again: equal internal keys,
+        // of which the skiplist orders the later insert first.
+        k = prev_key;
+        s = prev_seq;
+      } else if (rng.bernoulli(0.15)) {
+        s -= static_cast<std::uint64_t>(rng.uniform_int(1, 200));  // late
+      }
+      MemEntry e;
+      e.sequence = s;
+      if (rng.bernoulli(0.25)) {
+        e.type = EntryType::kDelete;
+        mt.del(written[k], s);
+      } else {
+        e.value = numbered("v", op);
+        mt.put(written[k], e.value, s);
+      }
+      reference.insert(MemTable::internal_key(written[k], s), std::move(e));
+      prev_key = k;
+      prev_seq = s;
+      if (op % 5000 == 4999) expect_all_same();
+    }
+    expect_all_same();
+    EXPECT_EQ(mt.entry_count(), reference.size());
+  }
 }
 
 // ---------------------------------------------------------------------------

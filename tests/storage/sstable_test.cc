@@ -239,6 +239,68 @@ TEST(SstTest, GetReturnsNewestVersionAcrossBlockBoundaries) {
   }
 }
 
+// The block index search at its edges, on a table of many blocks: each
+// block's first and last key, a key between two blocks, and keys outside
+// [smallest(), largest()].
+TEST(SstTest, GetAtBlockEdgesAndOutsideTheKeyRange) {
+  SstFixture fx;
+  SstBuilder builder(2000);
+  // Mirrors SstBuilder's block cut, as above.
+  std::vector<std::pair<std::string, std::string>> blocks;
+  std::size_t block_bytes = 0;
+  for (int i = 0; i < 2000; ++i) {
+    char key[32];
+    std::snprintf(key, sizeof(key), "key%06d", 2 * i);
+    builder.add(key, put_entry(numbered("val", i), 3));
+    if (block_bytes == 0) blocks.emplace_back(key, key);
+    blocks.back().second = key;
+    block_bytes += 15 + std::strlen(key) + numbered("val", i).size();
+    if (block_bytes >= kTargetDataBlockBytes) block_bytes = 0;
+  }
+  ASSERT_TRUE(builder.write_to(*fx.fs, fx.t, "/edges.sst").ok());
+  auto open = SstReader::open(*fx.fs, fx.t, "/edges.sst");
+  ASSERT_TRUE(open.ok());
+  SstReader& sst = *open.reader;
+  ASSERT_GT(blocks.size(), 10u);
+  EXPECT_EQ(sst.smallest(), blocks.front().first);
+  EXPECT_EQ(sst.largest(), blocks.back().second);
+
+  auto value_of = [](const std::string& key) {
+    return numbered("val", std::stoi(key.substr(3)) / 2);
+  };
+  auto expect_state = [&](const std::string& key, LookupState state) {
+    SCOPED_TRACE(key);
+    const SstGetResult g = sst.get(fx.t, key);
+    ASSERT_EQ(g.err, Errno::kOk);
+    EXPECT_EQ(g.state, state);
+    if (state == LookupState::kFound) {
+      EXPECT_EQ(g.value, value_of(key));
+    } else {
+      EXPECT_EQ(g.value, "");
+    }
+  };
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    expect_state(blocks[b].first, LookupState::kFound);
+    expect_state(blocks[b].second, LookupState::kFound);
+    if (b + 1 < blocks.size()) {
+      // Sorts after block b's last key and before block b+1's first.
+      const std::string between = blocks[b].second + "+";
+      ASSERT_LT(between, blocks[b + 1].first);
+      expect_state(between, LookupState::kMissing);
+    }
+  }
+  for (const std::string below : {"", "a", "key", "key00000"}) {
+    ASSERT_LT(below, sst.smallest());
+    expect_state(below, LookupState::kMissing);
+  }
+  for (const std::string& above :
+       {sst.largest() + std::string(1, '\0'), std::string("key999999"),
+        std::string("z")}) {
+    ASSERT_GT(above, sst.largest());
+    expect_state(above, LookupState::kMissing);
+  }
+}
+
 // A data block whose first entry claims a key longer than the block.
 // get() must report the damage as scan() does, not answer "missing" and
 // send the caller on to older tables.
