@@ -534,7 +534,7 @@ BENCHMARK(BM_ZipfEpochDraws)->Arg(0)->Arg(1);
 // the serving loop itself. Items are requests served.
 static void BM_ClusterAvailability(benchmark::State& state) {
   // The 1M-key alias table is immutable and shared across iterations,
-  // exactly as run_cluster_experiment shares it across grid cells.
+  // exactly as run_grid shares it across grid cells.
   static const auto zipf =
       std::make_shared<const cluster::ZipfAliasSampler>(1000000, 0.99);
 

@@ -165,6 +165,7 @@ void ShardedClusterEngine::start_run(sim::SimTime start, SloTracker& slo,
                                      std::vector<TimelineAction> actions) {
   slo_ = &slo;
   actions_ = std::move(actions);
+  sort_by_time(actions_);
   next_action_ = 0;
   start_ = cursor_ = frontier_ = start;
   end_ = start + config_.traffic.duration;

@@ -253,10 +253,10 @@ class ShardedClusterEngine {
   unsigned shards() const { return shard_count_; }
 
   /// One-shot: the full traffic duration starting at `start`, recording
-  /// every request into `slo`. Actions must be sorted by `at`; they fire
-  /// at epoch boundaries, no earlier than the latest completion already
-  /// handed out (a device never sees its environment change behind a
-  /// command it already finished).
+  /// every request into `slo`. Actions fire in `at` order (equal times in
+  /// the order given) at epoch boundaries, no earlier than the latest
+  /// completion already handed out (a device never sees its environment
+  /// change behind a command it already finished).
   EngineReport run(sim::SimTime start, SloTracker& slo,
                    std::vector<TimelineAction> actions = {});
 

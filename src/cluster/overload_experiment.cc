@@ -1,11 +1,6 @@
 #include "cluster/overload_experiment.h"
 
-#include <algorithm>
 #include <string>
-#include <utility>
-
-#include "cluster/cell.h"
-#include "sim/trial_runner.h"
 
 namespace deepnote::cluster {
 
@@ -35,13 +30,6 @@ OverloadExperimentConfig overload_experiment_config(double scale) {
   // deadline, so a full queue serves nothing but dead requests.
   config.balancer.request_deadline = sim::Duration::from_millis(500.0);
 
-  config.naive_backoff.kind = resilience::BackoffKind::kFixed;
-  config.naive_backoff.base = sim::Duration::from_millis(50.0);
-  config.naive_backoff.cap = sim::Duration::from_millis(50.0);
-  config.naive_backoff.jitter = 0.0;
-  config.naive_backoff.max_retries = resilience::kUnlimitedRetries;
-  config.naive_backoff.retry_failures = true;
-
   config.governed_backoff.kind = resilience::BackoffKind::kExponential;
   config.governed_backoff.base = sim::Duration::from_millis(10.0);
   config.governed_backoff.cap = sim::Duration::from_seconds(1.0);
@@ -60,154 +48,74 @@ OverloadExperimentConfig overload_experiment_config(double scale) {
 
 namespace {
 
-OverloadTrialRow make_overload_row(const OverloadExperimentConfig& config,
-                                   OverloadPolicy policy, bool breaker_on,
-                                   sim::Duration attack,
-                                   const EngineReport& report,
-                                   const SloTracker& slo) {
-  OverloadTrialRow row;
-  row.policy = policy;
-  row.breaker_on = breaker_on;
-  row.attack = attack;
-  row.requests = report.traffic.requests;
-  row.retries = report.serving.client_retries;
-  row.attack_availability = slo.focus_availability();
-  row.retry_budget_spent = report.serving.retry_budget_spent;
-  row.retry_budget_denied = report.serving.retry_budget_denied;
-  row.breaker_opens = report.serving.breaker_opens;
-  row.breaker_short_circuits = report.serving.breaker_short_circuits;
-  row.legs_cancelled = report.serving.legs_cancelled;
-  row.max_queue_depth = report.serving.max_queue_depth;
-  row.drains = report.stats.drains;
-
-  // Post-attack accounting straight off the SLO's fixed windows. The
-  // recovery clock stops at the END of the first window at/above the
-  // threshold — a conservative, window-granular reading.
-  const sim::SimTime attack_off = sim::SimTime::zero() + config.warmup + attack;
-  const std::int64_t window_ns = slo.config().window.ns();
-  const std::vector<SloTracker::Window>& windows = slo.windows();
-  std::uint64_t post_ok = 0;
-  std::uint64_t post_fail = 0;
-  row.recovery_s = config.observe.seconds();
-  for (std::size_t i = 0; i < windows.size(); ++i) {
-    const std::int64_t begin_ns =
-        slo.start().ns() + static_cast<std::int64_t>(i) * window_ns;
-    if (begin_ns < attack_off.ns()) continue;
-    const SloTracker::Window& w = windows[i];
-    post_ok += w.ok;
-    post_fail += w.fail;
-    if (w.ok + w.fail == 0) continue;  // no arrivals: says nothing
-    const double avail = w.availability();
-    if (avail < config.collapsed_availability) ++row.collapsed_windows;
-    if (!row.recovered && avail >= config.recovered_availability) {
-      row.recovered = true;
-      row.recovery_s =
-          static_cast<double>(begin_ns + window_ns - attack_off.ns()) * 1e-9;
-    }
-  }
-  const std::uint64_t post_total = post_ok + post_fail;
-  row.post_availability =
-      post_total == 0
-          ? 1.0
-          : static_cast<double>(post_ok) / static_cast<double>(post_total);
-  return row;
+/// Fixed 50 ms, no jitter, no retry cap: the naive clients' backoff.
+resilience::BackoffConfig naive_backoff() {
+  resilience::BackoffConfig backoff;
+  backoff.kind = resilience::BackoffKind::kFixed;
+  backoff.base = sim::Duration::from_millis(50.0);
+  backoff.cap = sim::Duration::from_millis(50.0);
+  backoff.jitter = 0.0;
+  backoff.max_retries = resilience::kUnlimitedRetries;
+  backoff.retry_failures = true;
+  return backoff;
 }
 
 }  // namespace
 
-OverloadTrialRow run_overload_cell(const OverloadExperimentConfig& config,
-                                   OverloadPolicy policy, bool breaker_on,
-                                   sim::Duration attack,
-                                   std::uint64_t cell_seed,
-                                   std::shared_ptr<const ZipfAliasSampler> zipf,
-                                   unsigned engine_jobs) {
-  CellSpec spec;
-  spec.scenario = config.scenario;
-  spec.topology = config.topology;
-  spec.policy = config.placement;
-  spec.replication = config.replication;
-  spec.balancer = config.balancer;
-  spec.traffic = config.traffic;
-  spec.warmup = config.warmup;
-  spec.attack = attack;
-  spec.tail = config.observe;
-  spec.seed = cell_seed;
-  spec.zipf = std::move(zipf);
-  spec.jobs = engine_jobs;
-  ExperimentCell cell(spec);
+std::vector<CellSpec> overload_cells(const OverloadExperimentConfig& config) {
+  CellSpec base;
+  base.scenario = config.scenario;
+  base.topology = config.topology;
+  base.engine.balancer = config.balancer;
+  base.engine.balancer.policy = config.placement;
+  base.engine.balancer.replication = config.replication;
+  base.engine.traffic = config.traffic;
+  base.warmup = config.warmup;
+  base.tail = config.observe;
+  base.attacked_pods = config.attacked_pods;
+  base.distance_m = config.attack_distance_m;
+  base.frequency_hz = config.frequency_hz;
+  base.spl_air_db = config.spl_air_db;
+  base.engine.serving.enabled = true;
+  base.engine.serving.closed_loop = true;
+  base.engine.serving.clients = config.clients;
+  base.engine.serving.server.queue_limit = config.queue_limit;
+  base.engine.serving.server.admission = config.admission;
+  base.engine.breaker = config.breaker;
 
-  ServingModeConfig& mode = cell.engine.serving;
-  mode.enabled = true;
-  mode.closed_loop = true;
-  mode.clients = config.clients;
-  mode.server.queue_limit = config.queue_limit;
-  mode.server.admission = config.admission;
-  if (policy == OverloadPolicy::kNaive) {
-    mode.backoff = config.naive_backoff;
-    mode.retry_budget.enabled = false;
-    // The wasted-work ingredient: expired requests still burn device
-    // time, so during a storm the fleet is 100% busy serving requests
-    // nobody is waiting for.
-    mode.server.drop_expired = false;
-  } else {
-    mode.backoff = config.governed_backoff;
-    mode.retry_budget = config.governed_budget;
-    mode.server.drop_expired = true;
-  }
-  cell.engine.breaker = config.breaker;
-  cell.engine.breaker.enabled = breaker_on;
-  ShardedClusterEngine engine(cell.cluster.topology(),
-                              cell.cluster.device_pointers(), cell.engine);
-
-  // Every attacked pod goes on at attack_on and off at attack_off. The
-  // engine takes its actions sorted by time, so all the on-actions come
-  // first, then all the off-actions.
-  std::vector<TimelineAction> actions;
-  std::vector<TimelineAction> offs;
-  for (const std::size_t pod : config.attacked_pods) {
-    std::vector<TimelineAction> pulse =
-        cell.pod_attack(pod, config.frequency_hz, config.spl_air_db,
-                        config.attack_distance_m);
-    actions.push_back(std::move(pulse[0]));
-    offs.push_back(std::move(pulse[1]));
-  }
-  for (TimelineAction& off : offs) actions.push_back(std::move(off));
-  const EngineReport report =
-      engine.run(sim::SimTime::zero(), cell.slo, std::move(actions));
-  return make_overload_row(config, policy, breaker_on, attack, report,
-                           cell.slo);
-}
-
-std::vector<OverloadTrialRow> run_overload_experiment(
-    const OverloadExperimentConfig& config) {
-  struct Cell {
-    OverloadPolicy policy;
-    bool breaker_on;
-    sim::Duration attack;
-  };
-  std::vector<Cell> grid;
-  grid.reserve(config.policies.size() * config.breaker_settings.size() *
-               config.attack_durations.size());
+  std::vector<CellSpec> cells;
   for (const OverloadPolicy policy : config.policies) {
     for (const bool breaker_on : config.breaker_settings) {
       for (const sim::Duration attack : config.attack_durations) {
-        grid.push_back({policy, breaker_on, attack});
+        CellSpec& cell = cells.emplace_back(base);
+        ServingModeConfig& mode = cell.engine.serving;
+        if (policy == OverloadPolicy::kNaive) {
+          mode.backoff = naive_backoff();  // and no retry budget
+          // The wasted-work ingredient: expired requests still burn
+          // device time, so during a storm the fleet is 100% busy
+          // serving requests nobody is waiting for.
+          mode.server.drop_expired = false;
+        } else {
+          mode.backoff = config.governed_backoff;
+          mode.retry_budget = config.governed_budget;
+          mode.server.drop_expired = true;
+        }
+        cell.engine.breaker.enabled = breaker_on;
+        cell.attack = attack;
       }
     }
   }
-  const auto zipf = std::make_shared<const ZipfAliasSampler>(
-      config.traffic.keyspace, config.traffic.zipf_theta);
-  return sim::run_trials<OverloadTrialRow>(
-      grid.size(), config.jobs, [&](std::size_t i) {
-        return run_overload_cell(config, grid[i].policy, grid[i].breaker_on,
-                                 grid[i].attack,
-                                 sim::trial_seed(config.seed, i), zipf);
-      });
+  return cells;
+}
+
+OverloadPolicy overload_policy(const CellSpec& cell) {
+  return cell.engine.serving.server.drop_expired ? OverloadPolicy::kGoverned
+                                                 : OverloadPolicy::kNaive;
 }
 
 sim::Table build_overload_recovery_table(
     const OverloadExperimentConfig& config,
-    const std::vector<OverloadTrialRow>& rows) {
+    const std::vector<CellResult>& results) {
   sim::Table table(
       "Overload recovery vs. retry governance (two-pod " +
       sim::format_fixed(config.frequency_hz, 0) + " Hz / " +
@@ -219,28 +127,28 @@ sim::Table build_overload_recovery_table(
                      "Attack avail %", "Post avail %", "Recovery s",
                      "Collapsed", "Budget spent", "Budget denied", "Opens",
                      "Short circ", "Cancelled", "Max depth", "Drains"});
-  for (const OverloadTrialRow& row : rows) {
+  for (const CellResult& r : results) {
     table.row()
-        .cell(overload_policy_name(row.policy))
-        .cell(row.breaker_on ? "on" : "off")
-        .cell(row.attack.seconds(), 0)
-        .cell(static_cast<std::int64_t>(row.requests))
-        .cell(static_cast<std::int64_t>(row.retries))
-        .cell(row.attack_availability * 100.0, 3)
-        .cell(row.post_availability * 100.0, 3);
-    if (row.recovered) {
-      table.cell(row.recovery_s, 2);
+        .cell(overload_policy_name(overload_policy(r.cell)))
+        .cell(r.cell.engine.breaker.enabled ? "on" : "off")
+        .cell(r.cell.attack.seconds(), 0)
+        .cell(static_cast<std::int64_t>(r.requests))
+        .cell(static_cast<std::int64_t>(r.client_retries))
+        .cell(r.attack_availability * 100.0, 3)
+        .cell(r.post_availability * 100.0, 3);
+    if (r.recovered) {
+      table.cell(r.recovery_s, 2);
     } else {
       table.dash();  // never recovered inside the observation window
     }
-    table.cell(static_cast<std::int64_t>(row.collapsed_windows))
-        .cell(static_cast<std::int64_t>(row.retry_budget_spent))
-        .cell(static_cast<std::int64_t>(row.retry_budget_denied))
-        .cell(static_cast<std::int64_t>(row.breaker_opens))
-        .cell(static_cast<std::int64_t>(row.breaker_short_circuits))
-        .cell(static_cast<std::int64_t>(row.legs_cancelled))
-        .cell(static_cast<std::int64_t>(row.max_queue_depth))
-        .cell(static_cast<std::int64_t>(row.drains));
+    table.cell(static_cast<std::int64_t>(r.collapsed_windows))
+        .cell(static_cast<std::int64_t>(r.retry_budget_spent))
+        .cell(static_cast<std::int64_t>(r.retry_budget_denied))
+        .cell(static_cast<std::int64_t>(r.breaker_opens))
+        .cell(static_cast<std::int64_t>(r.breaker_short_circuits))
+        .cell(static_cast<std::int64_t>(r.legs_cancelled))
+        .cell(static_cast<std::int64_t>(r.max_queue_depth))
+        .cell(static_cast<std::int64_t>(r.drains));
   }
   return table;
 }

@@ -15,20 +15,16 @@
 //
 // The grid sweeps retry policy x circuit breakers x attack duration,
 // measuring goodput inside the attack window, after it, and the time
-// from attack-off to the first healthy SLO window. The attack is lowered
-// like every other grid's, through ExperimentCell::pod_attack: each
-// attacked pod goes on at attack-on and off at attack-off, on the
-// engine's epoch barriers.
+// from attack-off to the first healthy SLO window. Its cells run on the
+// grid scaffold (grid.h) like every other grid's. The config stays flat
+// because perfbench's overload_1k workload reads its fields by name.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "cluster/engine.h"
-#include "cluster/node.h"
+#include "cluster/grid.h"
 #include "cluster/resilience/retry.h"
-#include "cluster/traffic.h"
 #include "sim/table.h"
 
 namespace deepnote::cluster {
@@ -68,8 +64,8 @@ struct OverloadExperimentConfig {
   std::size_t queue_limit = 128;
   serving::AdmissionPolicy admission = serving::AdmissionPolicy::kRejectNew;
 
-  /// Retry shaping per policy (filled by overload_experiment_config).
-  resilience::BackoffConfig naive_backoff;
+  /// Governed retry shaping (filled by overload_experiment_config; the
+  /// naive policy's fixed backoff is a constant).
   resilience::BackoffConfig governed_backoff;
   resilience::RetryBudgetConfig governed_budget;
   /// Breaker knobs for the breaker-on cells (enabled is set per cell).
@@ -82,14 +78,7 @@ struct OverloadExperimentConfig {
   /// Post-attack observation window (the recovery clock runs here).
   sim::Duration observe = sim::Duration::from_seconds(600.0);
 
-  /// A post-attack SLO window at or above this availability ends the
-  /// recovery clock; below `collapsed_availability` it counts as
-  /// collapsed (the metastable signature is a long run of those).
-  double recovered_availability = 0.99;
-  double collapsed_availability = 0.5;
-
   std::uint64_t seed = 0x10ad;
-  unsigned jobs = 0;  ///< 0 = $DEEPNOTE_JOBS / all cores
 };
 
 /// The experiment at a time scale: warmup and the post-attack
@@ -98,51 +87,17 @@ struct OverloadExperimentConfig {
 /// (they are the physics of the collapse, not the measurement length).
 OverloadExperimentConfig overload_experiment_config(double scale = 1.0);
 
-struct OverloadTrialRow {
-  OverloadPolicy policy = OverloadPolicy::kNaive;
-  bool breaker_on = false;
-  sim::Duration attack = sim::Duration::zero();
+/// The grid's cells in (policy, breaker, attack) lexicographic order.
+std::vector<CellSpec> overload_cells(const OverloadExperimentConfig& config);
 
-  std::uint64_t requests = 0;
-  std::uint64_t retries = 0;
-  double attack_availability = 1.0;  ///< arrivals inside the pulse
-  double post_availability = 1.0;    ///< arrivals after attack-off
-  /// Attack-off to the end of the first post-attack SLO window at or
-  /// above the recovery threshold; `recovered` false means it never
-  /// happened and recovery_s holds the full observation length.
-  double recovery_s = 0.0;
-  bool recovered = false;
-  /// Post-attack windows below the collapse threshold (with traffic).
-  std::uint64_t collapsed_windows = 0;
-
-  std::uint64_t retry_budget_spent = 0;
-  std::uint64_t retry_budget_denied = 0;
-  std::uint64_t breaker_opens = 0;
-  std::uint64_t breaker_short_circuits = 0;
-  std::uint64_t legs_cancelled = 0;
-  std::uint64_t max_queue_depth = 0;
-  std::uint64_t drains = 0;
-};
-
-/// One grid cell: an independent engine run (scripted pod attack,
-/// serving mode, closed-loop clients), seeded from `cell_seed`.
-OverloadTrialRow run_overload_cell(const OverloadExperimentConfig& config,
-                                   OverloadPolicy policy, bool breaker_on,
-                                   sim::Duration attack,
-                                   std::uint64_t cell_seed,
-                                   std::shared_ptr<const ZipfAliasSampler>
-                                       zipf = nullptr,
-                                   unsigned engine_jobs = 1);
-
-/// Run the full grid; rows in (policy, breaker, attack) lexicographic
-/// order, fanned across the trial pool.
-std::vector<OverloadTrialRow> run_overload_experiment(
-    const OverloadExperimentConfig& config);
+/// The retry discipline an overload cell runs: governed cells drop
+/// expired requests, naive ones serve them.
+OverloadPolicy overload_policy(const CellSpec& cell);
 
 /// Render the grid as the "overload recovery vs. retry governance"
 /// table.
 sim::Table build_overload_recovery_table(
     const OverloadExperimentConfig& config,
-    const std::vector<OverloadTrialRow>& rows);
+    const std::vector<CellResult>& results);
 
 }  // namespace deepnote::cluster

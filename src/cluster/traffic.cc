@@ -306,4 +306,13 @@ void ClosedLoopPopulation::complete(std::uint32_t client, sim::SimTime when,
       client);
 }
 
+void sort_by_time(std::vector<TimelineAction>& actions) {
+  const auto by_time = [](const TimelineAction& a, const TimelineAction& b) {
+    return a.at < b.at;
+  };
+  if (!std::is_sorted(actions.begin(), actions.end(), by_time)) {
+    std::stable_sort(actions.begin(), actions.end(), by_time);
+  }
+}
+
 }  // namespace deepnote::cluster

@@ -97,6 +97,10 @@ struct TimelineAction {
   std::function<void(sim::SimTime)> fn;
 };
 
+/// Time order, equal times in the order given. A sorted timeline costs
+/// one scan and no allocation.
+void sort_by_time(std::vector<TimelineAction>& actions);
+
 struct TrafficReport {
   std::uint64_t requests = 0;
   std::uint64_t reads = 0;

@@ -99,7 +99,10 @@ sim::Table format_figure2(
 
 void print_table(const sim::Table& table, int argc, char** argv) {
   std::string_view mode;
-  if (argc > 1) mode = argv[1];
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--csv" || arg == "--md" || arg == "--markdown") mode = arg;
+  }
   if (mode == "--csv") {
     std::cout << table.to_csv() << "\n";
   } else if (mode == "--md" || mode == "--markdown") {

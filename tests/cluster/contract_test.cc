@@ -31,7 +31,6 @@
 #include "cluster/overload_experiment.h"
 #include "cluster/slo.h"
 #include "core/attack.h"
-#include "sim/trial_runner.h"
 
 namespace deepnote::cluster {
 namespace {
@@ -88,8 +87,8 @@ TEST(Contract, ClusterAvailability1k) {
 // attacked for 5 s, enough to break every cross-pod write quorum.
 // `load` scales the offered pressure relative to the grid's ~70% fleet
 // utilization; 1.0 reproduces the grid's margin.
-OverloadTrialRow run_overload_recovery(std::size_t pods, double scale,
-                                       double load) {
+CellResult run_overload_recovery(std::size_t pods, double scale,
+                                 double load) {
   OverloadExperimentConfig config = overload_experiment_config(scale);
   config.topology = {.pods = pods, .bays_per_pod = 5};
   // Clients scale with the arrival rate, so each client's think time is
@@ -112,24 +111,23 @@ OverloadTrialRow run_overload_recovery(std::size_t pods, double scale,
   for (std::size_t pod = 0; pod < pods * 2 / 3; ++pod) {
     config.attacked_pods.push_back(pod);
   }
+  config.policies = {OverloadPolicy::kGoverned};
+  config.breaker_settings = {true};
+  config.attack_durations = {sim::Duration::from_seconds(5.0)};
 
-  const auto zipf = std::make_shared<const ZipfAliasSampler>(
-      config.traffic.keyspace, config.traffic.zipf_theta);
-  return run_overload_cell(config, OverloadPolicy::kGoverned,
-                           /*breaker_on=*/true,
-                           sim::Duration::from_seconds(5.0),
-                           sim::trial_seed(config.seed, 0), zipf,
-                           /*engine_jobs=*/0);
+  std::vector<CellSpec> cells = overload_cells(config);
+  cells.front().engine.jobs = 0;  // $DEEPNOTE_JOBS
+  return run_grid(cells, config.seed, /*jobs=*/1).front();
 }
 
-void expect_recovered(const char* cell, const OverloadTrialRow& row) {
+void expect_recovered(const char* cell, const CellResult& row) {
   std::printf("contract %s: requests=%llu recovered=%d recovery_s=%.2f "
               "attack_availability=%.4f post_availability=%.4f "
               "retries=%llu breaker_opens=%llu\n",
               cell, static_cast<unsigned long long>(row.requests),
               row.recovered ? 1 : 0, row.recovery_s, row.attack_availability,
               row.post_availability,
-              static_cast<unsigned long long>(row.retries),
+              static_cast<unsigned long long>(row.client_retries),
               static_cast<unsigned long long>(row.breaker_opens));
   EXPECT_TRUE(row.recovered);
   EXPECT_LE(row.recovery_s, 30.0);
@@ -161,20 +159,16 @@ TEST(Contract, OverloadRecovery10k) {
 // seconds, once on pure-HDD nodes and once on flash-fronted hybrids.
 TEST(Contract, HybridAvailability1k) {
   HybridExperimentConfig config = hybrid_experiment_config(/*scale=*/0.1);
-  config.topology = {.pods = 200, .bays_per_pod = 5};
-  const auto zipf = std::make_shared<const ZipfAliasSampler>(
-      config.traffic.keyspace, config.traffic.zipf_theta);
-  constexpr double kDistance = 0.01;
-  constexpr double kMultiplier = 1.0;
-
-  const HybridTrialRow hdd =
-      run_hybrid_cell(config, NodeType::kHdd, kDistance, kMultiplier,
-                      sim::trial_seed(config.seed, 0), zipf,
-                      /*engine_jobs=*/0);
-  const HybridTrialRow hybrid =
-      run_hybrid_cell(config, NodeType::kHybrid, kDistance, kMultiplier,
-                      sim::trial_seed(config.seed, 1), zipf,
-                      /*engine_jobs=*/0);
+  config.cell.topology = {.pods = 200, .bays_per_pod = 5};
+  config.distances_m = {0.01};
+  config.attack_multipliers = {1.0};
+  std::vector<CellSpec> cells = hybrid_availability_cells(config);
+  ASSERT_EQ(cells.size(), 2u);  // HDD, then hybrid
+  for (CellSpec& cell : cells) cell.engine.jobs = 0;  // $DEEPNOTE_JOBS
+  const std::vector<CellResult> results =
+      run_grid(cells, config.seed, /*jobs=*/1);
+  const CellResult& hdd = results[0];
+  const CellResult& hybrid = results[1];
 
   std::printf("contract hybrid_availability_1k: requests=%llu "
               "hdd_attack_availability=%.4f hybrid_attack_availability=%.4f "

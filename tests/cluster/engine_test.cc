@@ -1,7 +1,7 @@
 // Sharded cluster engine tests: bit-exact determinism at any wave
-// parallelism (including forced sharding), convergence of the
-// paper-level headline as the epoch shrinks, the stepping API, and
-// constructor validation.
+// parallelism (including forced sharding), the timeline's time order,
+// convergence of the paper-level headline as the epoch shrinks, the
+// stepping API, and constructor validation.
 #include "cluster/engine.h"
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <optional>
 #include <vector>
 
-#include "cluster/cell.h"
 #include "cluster/experiment.h"
 #include "core/attack.h"
 
@@ -30,8 +29,12 @@ struct RunResult {
 
 /// One attacked cross-pod cell on the engine with the given wave
 /// parallelism. min_ops_to_shard = 0 forces every wave through the
-/// TaskPool shard path regardless of size.
-RunResult run_attacked_cell(unsigned jobs, std::size_t min_ops_to_shard) {
+/// TaskPool shard path regardless of size. `pods` are insonified from
+/// 0.4 s to 1.6 s; the timeline goes to the engine sorted (every on,
+/// then every off) or, with `interleaved`, as each pod's on then its off.
+RunResult run_attacked_cell(unsigned jobs, std::size_t min_ops_to_shard,
+                            const std::vector<std::size_t>& pods = {0},
+                            bool interleaved = false) {
   ClusterConfig cluster_config;
   cluster_config.topology = ClusterTopology{.pods = 3, .bays_per_pod = 5};
   cluster_config.seed = 0x5eed;
@@ -56,12 +59,17 @@ RunResult run_attacked_cell(unsigned jobs, std::size_t min_ops_to_shard) {
   attack.start = attack_on;
   attack.end = attack_off;
   std::vector<TimelineAction> actions;
-  actions.push_back({attack_on, [&cluster, attack](sim::SimTime t) {
-                       cluster.apply_attack(0, t, attack);
-                     }});
-  actions.push_back({attack_off, [&cluster](sim::SimTime t) {
-                       cluster.stop_attack(0, t);
-                     }});
+  std::vector<TimelineAction> offs;
+  for (const std::size_t pod : pods) {
+    actions.push_back({attack_on, [&cluster, pod, attack](sim::SimTime t) {
+                         cluster.apply_attack(pod, t, attack);
+                       }});
+    (interleaved ? actions : offs)
+        .push_back({attack_off, [&cluster, pod](sim::SimTime t) {
+                      cluster.stop_attack(pod, t);
+                    }});
+  }
+  for (TimelineAction& off : offs) actions.push_back(std::move(off));
 
   SloTracker slo(sim::SimTime::zero());
   slo.set_focus(attack_on, attack_off);
@@ -126,31 +134,36 @@ TEST(ClusterEngine, ShardCountDoesNotChangeResults) {
   expect_identical(two, eight);
 }
 
-/// Attack-window availability of the paper's headline cell (scale 0.1,
-/// pod 0 insonified at 1 cm), built through the shared cell builder at
-/// the given epoch length.
+// The engine orders its own timeline: a two-pod attack handed over as
+// on, off, on, off runs exactly like the sorted list. Taken in the order
+// given, the second pod's on-action would wait behind the first pod's
+// off-action, and pod 1 would miss the attack window.
+TEST(ClusterEngine, OrdersItsOwnTimeline) {
+  const RunResult sorted = run_attacked_cell(1, 2048, {0, 1});
+  const RunResult interleaved =
+      run_attacked_cell(1, 2048, {0, 1}, /*interleaved=*/true);
+  expect_identical(sorted, interleaved);
+  EXPECT_GT(sorted.stats.read_failovers + sorted.stats.drains, 0u);
+}
+
+/// The availability grid's own headline cell (scale 0.1, pod 0
+/// insonified at 1 cm) under `policy`.
+CellSpec headline_cell(PlacementPolicy policy) {
+  ClusterExperimentConfig config = cluster_experiment_config(0.1);
+  config.policies = {policy};
+  config.distances_m = {0.01};
+  CellSpec cell = cluster_availability_cells(config).front();
+  cell.seed = 0x7e57;
+  return cell;
+}
+
+/// Attack-window availability of the headline cell at the given epoch
+/// length.
 double headline_attack_availability(PlacementPolicy policy,
                                     sim::Duration epoch) {
-  const ClusterExperimentConfig config = cluster_experiment_config(0.1);
-  CellSpec spec;
-  spec.scenario = config.scenario;
-  spec.topology = config.topology;
-  spec.policy = policy;
-  spec.replication = config.replication;
-  spec.balancer = config.balancer;
-  spec.traffic = config.traffic;
-  spec.warmup = config.warmup;
-  spec.attack = config.attack_window;
-  spec.tail = config.cooldown;
-  spec.seed = 0x7e57;
-  ExperimentCell cell(spec);
+  CellSpec cell = headline_cell(policy);
   cell.engine.epoch = epoch;
-  ShardedClusterEngine engine(cell.cluster.topology(),
-                              cell.cluster.device_pointers(), cell.engine);
-  engine.run(sim::SimTime::zero(), cell.slo,
-             cell.pod_attack(config.attacked_pod, config.frequency_hz,
-                             config.spl_air_db, 0.01));
-  return cell.slo.focus_availability();
+  return run_cell(cell).attack_availability;
 }
 
 // The epoch is the control loop's reaction quantum, the one fidelity
@@ -158,17 +171,15 @@ double headline_attack_availability(PlacementPolicy policy,
 // control, must not change the headline: the 50 ms default has
 // converged.
 TEST(ClusterEngine, ConvergesAsTheEpochShrinks) {
-  const ClusterExperimentConfig config = cluster_experiment_config(0.1);
   for (const PlacementPolicy policy :
        {PlacementPolicy::kSamePod, PlacementPolicy::kCrossPod}) {
     const double coarse = headline_attack_availability(
         policy, sim::Duration::from_millis(50.0));
     const double fine =
         headline_attack_availability(policy, sim::Duration::from_millis(1.0));
-    // At the default epoch the builder's cell is the grid's own cell.
-    EXPECT_DOUBLE_EQ(
-        coarse,
-        run_cluster_cell(config, policy, 0.01, 0x7e57).attack_availability);
+    // 50 ms is the default epoch: the coarse cell is the grid's own.
+    EXPECT_DOUBLE_EQ(coarse,
+                     run_cell(headline_cell(policy)).attack_availability);
     if (policy == PlacementPolicy::kSamePod) {
       EXPECT_LE(coarse, 0.20);
       EXPECT_LE(fine, 0.20);

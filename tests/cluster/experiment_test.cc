@@ -5,28 +5,37 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
-#include <string>
+#include <optional>
+#include <vector>
+
+#include "golden_table.h"
 
 namespace deepnote::cluster {
 namespace {
 
 constexpr double kScale = 0.2;  // 2 s warmup / 8 s attack / 2 s cooldown
 
-const std::vector<ClusterTrialRow>& cached_rows() {
-  static const std::vector<ClusterTrialRow> rows =
-      run_cluster_experiment(cluster_experiment_config(kScale));
-  return rows;
+const ClusterExperimentConfig& config() {
+  static const ClusterExperimentConfig config =
+      cluster_experiment_config(kScale);
+  return config;
 }
 
-const ClusterTrialRow& find_row(PlacementPolicy policy,
-                                std::optional<double> distance_m) {
-  for (const ClusterTrialRow& row : cached_rows()) {
-    if (row.policy == policy && row.distance_m == distance_m) return row;
+const std::vector<CellResult>& cached_results() {
+  static const std::vector<CellResult> results =
+      run_grid(cluster_availability_cells(config()), config().seed, 0);
+  return results;
+}
+
+const CellResult& find_row(PlacementPolicy policy,
+                           std::optional<double> distance_m) {
+  for (const CellResult& row : cached_results()) {
+    if (row.cell.engine.balancer.policy == policy &&
+        attack_distance(row.cell) == distance_m) {
+      return row;
+    }
   }
-  static ClusterTrialRow missing;
+  static CellResult missing;
   ADD_FAILURE() << "row not found";
   return missing;
 }
@@ -35,7 +44,7 @@ TEST(ClusterExperiment, BaselinesServeCleanly) {
   for (const PlacementPolicy policy :
        {PlacementPolicy::kSamePod, PlacementPolicy::kCrossPod,
         PlacementPolicy::kRackAware}) {
-    const ClusterTrialRow& row = find_row(policy, std::nullopt);
+    const CellResult& row = find_row(policy, std::nullopt);
     EXPECT_GE(row.availability, 0.999) << placement_name(policy);
     EXPECT_GT(row.requests, 0u);
   }
@@ -48,10 +57,9 @@ TEST(ClusterExperiment, BaselinesServeCleanly) {
 // of every object at once and collapses (what little survives is writes
 // absorbed by drive write caches).
 TEST(ClusterExperiment, PlacementDecidesAvailabilityUnderAttack) {
-  const ClusterTrialRow& same_pod = find_row(PlacementPolicy::kSamePod, 0.01);
-  const ClusterTrialRow& cross_pod = find_row(PlacementPolicy::kCrossPod, 0.01);
-  const ClusterTrialRow& rack_aware =
-      find_row(PlacementPolicy::kRackAware, 0.01);
+  const CellResult& same_pod = find_row(PlacementPolicy::kSamePod, 0.01);
+  const CellResult& cross_pod = find_row(PlacementPolicy::kCrossPod, 0.01);
+  const CellResult& rack_aware = find_row(PlacementPolicy::kRackAware, 0.01);
 
   EXPECT_LE(same_pod.attack_availability, 0.20) << "same-pod should collapse";
   EXPECT_GE(cross_pod.attack_availability, 0.99);
@@ -64,94 +72,69 @@ TEST(ClusterExperiment, PlacementDecidesAvailabilityUnderAttack) {
 }
 
 TEST(ClusterExperiment, AttackIsLocalizedToItsWindow) {
-  const ClusterTrialRow& cross_pod = find_row(PlacementPolicy::kCrossPod, 0.01);
+  const CellResult& cross_pod = find_row(PlacementPolicy::kCrossPod, 0.01);
   // Whole-run availability includes warmup + cooldown and must not be
   // below the attack window's (recovery works).
   EXPECT_GE(cross_pod.availability, cross_pod.attack_availability);
 }
 
 TEST(ClusterExperiment, DistanceAttenuatesTheAttack) {
-  const ClusterTrialRow& near = find_row(PlacementPolicy::kSamePod, 0.01);
-  const ClusterTrialRow& far = find_row(PlacementPolicy::kSamePod, 0.25);
+  const CellResult& near = find_row(PlacementPolicy::kSamePod, 0.01);
+  const CellResult& far = find_row(PlacementPolicy::kSamePod, 0.25);
   EXPECT_LT(near.attack_availability, far.attack_availability);
   EXPECT_GE(far.attack_availability, 0.99);
 }
 
 TEST(ClusterExperiment, DeterministicAcrossJobCounts) {
-  ClusterExperimentConfig config = cluster_experiment_config(kScale);
-  config.jobs = 1;
-  const auto serial = run_cluster_experiment(config);
-  config.jobs = 4;
-  const auto parallel = run_cluster_experiment(config);
-  const std::string csv_serial =
-      build_cluster_availability_table(config, serial).to_csv();
-  const std::string csv_parallel =
-      build_cluster_availability_table(config, parallel).to_csv();
-  EXPECT_EQ(csv_serial, csv_parallel);
-}
-
-std::string golden_path(const std::string& name) {
-  return std::string(DEEPNOTE_GOLDEN_DIR) + "/" + name;
-}
-
-void diff_against_golden(const sim::Table& table, const std::string& name) {
-  const std::string rendered = table.to_csv();
-  const std::string path = golden_path(name);
-  if (std::getenv("DEEPNOTE_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::trunc);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << rendered;
-    out.close();
-    ASSERT_TRUE(out.good()) << "short write to " << path;
-    std::printf("[golden updated: %s]\n", path.c_str());
-    return;
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good())
-      << "missing golden " << path
-      << " — generate it with DEEPNOTE_UPDATE_GOLDEN=1";
-  std::ostringstream expected;
-  expected << in.rdbuf();
-  EXPECT_EQ(expected.str(), rendered)
-      << "table drifted from " << path
-      << "\nIf intentional, regenerate with DEEPNOTE_UPDATE_GOLDEN=1 "
-         "and review the CSV diff.";
+  const std::vector<CellSpec> cells = cluster_availability_cells(config());
+  EXPECT_EQ(build_cluster_availability_table(
+                config(), run_grid(cells, config().seed, 1))
+                .to_csv(),
+            build_cluster_availability_table(
+                config(), run_grid(cells, config().seed, 4))
+                .to_csv());
 }
 
 TEST(ClusterExperiment, GoldenAvailabilityTable) {
-  const ClusterExperimentConfig config = cluster_experiment_config(kScale);
-  diff_against_golden(
-      build_cluster_availability_table(config, cached_rows()),
-      "cluster_availability.csv");
+  diff_against_golden(build_cluster_availability_table(config(),
+                                                       cached_results()),
+                      "cluster_availability.csv");
 }
 
 // --- serving (queueing) experiment --------------------------------------
 
-const std::vector<ServingTrialRow>& cached_serving_rows() {
-  static const std::vector<ServingTrialRow> rows =
-      run_serving_experiment(serving_experiment_config(kScale));
-  return rows;
+const ServingExperimentConfig& serving_config() {
+  static const ServingExperimentConfig config =
+      serving_experiment_config(kScale);
+  return config;
 }
 
-const ServingTrialRow& find_serving_row(std::size_t queue_limit,
-                                        serving::AdmissionPolicy admission,
-                                        std::optional<double> distance_m) {
-  for (const ServingTrialRow& row : cached_serving_rows()) {
-    if (row.queue_limit == queue_limit && row.admission == admission &&
-        row.distance_m == distance_m) {
+const std::vector<CellResult>& cached_serving_results() {
+  static const std::vector<CellResult> results = run_grid(
+      cluster_serving_cells(serving_config()), serving_config().seed, 0);
+  return results;
+}
+
+const CellResult& find_serving_row(std::size_t queue_limit,
+                                   serving::AdmissionPolicy admission,
+                                   std::optional<double> distance_m) {
+  for (const CellResult& row : cached_serving_results()) {
+    const serving::ServerConfig& server = row.cell.engine.serving.server;
+    if (server.queue_limit == queue_limit && server.admission == admission &&
+        attack_distance(row.cell) == distance_m) {
       return row;
     }
   }
-  static ServingTrialRow missing;
+  static CellResult missing;
   ADD_FAILURE() << "serving row not found";
   return missing;
 }
 
 TEST(ServingExperiment, BaselinesServeWithoutShedding) {
-  const ServingExperimentConfig config = serving_experiment_config(kScale);
-  for (const std::size_t queue_limit : config.queue_limits) {
-    for (const serving::AdmissionPolicy admission : config.admissions) {
-      const ServingTrialRow& row =
+  for (const std::size_t queue_limit : serving_config().queue_limits) {
+    for (const serving::AdmissionPolicy admission :
+         serving_config().admissions) {
+      const CellResult& row =
           find_serving_row(queue_limit, admission, std::nullopt);
       EXPECT_GE(row.availability, 0.999);
       EXPECT_EQ(row.shed_requests + row.timed_out_requests, 0u);
@@ -165,9 +148,9 @@ TEST(ServingExperiment, BaselinesServeWithoutShedding) {
 // shows what the availability number hides — queues pinned at the
 // admission limit and legs shed or expiring on the attacked nodes.
 TEST(ServingExperiment, AttackStrainsTheQueuesNotTheHeadline) {
-  const ServingTrialRow& quiet = find_serving_row(
+  const CellResult& quiet = find_serving_row(
       4, serving::AdmissionPolicy::kRejectNew, std::nullopt);
-  const ServingTrialRow& attacked =
+  const CellResult& attacked =
       find_serving_row(4, serving::AdmissionPolicy::kRejectNew, 0.01);
 
   EXPECT_GE(attacked.attack_availability, 0.95);
@@ -180,31 +163,27 @@ TEST(ServingExperiment, AttackStrainsTheQueuesNotTheHeadline) {
 // A deeper queue converts sheds into waiting: fewer refused legs, longer
 // queue-wait tail, at this load without hurting availability.
 TEST(ServingExperiment, QueueDepthTradesSheddingForWaiting) {
-  const ServingTrialRow& shallow =
+  const CellResult& shallow =
       find_serving_row(4, serving::AdmissionPolicy::kRejectNew, 0.01);
-  const ServingTrialRow& deep =
+  const CellResult& deep =
       find_serving_row(32, serving::AdmissionPolicy::kRejectNew, 0.01);
   EXPECT_LT(deep.legs_shed, shallow.legs_shed);
   EXPECT_GE(deep.attack_availability, shallow.attack_availability - 0.01);
 }
 
 TEST(ServingExperiment, DeterministicAcrossJobCounts) {
-  ServingExperimentConfig config = serving_experiment_config(kScale);
-  config.jobs = 1;
-  const auto serial = run_serving_experiment(config);
-  config.jobs = 4;
-  const auto parallel = run_serving_experiment(config);
-  const std::string csv_serial =
-      build_cluster_serving_table(config, serial).to_csv();
-  const std::string csv_parallel =
-      build_cluster_serving_table(config, parallel).to_csv();
-  EXPECT_EQ(csv_serial, csv_parallel);
+  const std::vector<CellSpec> cells = cluster_serving_cells(serving_config());
+  EXPECT_EQ(build_cluster_serving_table(
+                serving_config(), run_grid(cells, serving_config().seed, 1))
+                .to_csv(),
+            build_cluster_serving_table(
+                serving_config(), run_grid(cells, serving_config().seed, 4))
+                .to_csv());
 }
 
 TEST(ServingExperiment, GoldenServingTable) {
-  const ServingExperimentConfig config = serving_experiment_config(kScale);
   diff_against_golden(
-      build_cluster_serving_table(config, cached_serving_rows()),
+      build_cluster_serving_table(serving_config(), cached_serving_results()),
       "cluster_serving.csv");
 }
 

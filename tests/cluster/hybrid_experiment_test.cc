@@ -8,49 +8,52 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
-#include <string>
-#include <utility>
+#include <optional>
 #include <vector>
 
-#include "cluster/cell.h"
+#include "golden_table.h"
 
 namespace deepnote::cluster {
 namespace {
 
 constexpr double kScale = 0.2;  // 2 s warmup / 8 s attack / 2 s cooldown
 
-const std::vector<HybridTrialRow>& cached_rows() {
-  static const std::vector<HybridTrialRow> rows =
-      run_hybrid_experiment(hybrid_experiment_config(kScale));
-  return rows;
+const HybridExperimentConfig& config() {
+  static const HybridExperimentConfig config =
+      hybrid_experiment_config(kScale);
+  return config;
 }
 
-const HybridTrialRow& find_row(NodeType node_type,
-                               std::optional<double> distance_m,
-                               double multiplier) {
-  for (const HybridTrialRow& row : cached_rows()) {
-    if (row.node_type == node_type && row.distance_m == distance_m &&
-        row.attack_multiplier == multiplier) {
+const std::vector<CellResult>& cached_results() {
+  static const std::vector<CellResult> results =
+      run_grid(hybrid_availability_cells(config()), config().seed, 0);
+  return results;
+}
+
+const CellResult& find_row(NodeType node_type,
+                           std::optional<double> distance_m,
+                           double multiplier) {
+  for (const CellResult& row : cached_results()) {
+    if (row.cell.node_type == node_type &&
+        attack_distance(row.cell) == distance_m &&
+        attack_multiplier(config(), row.cell) == multiplier) {
       return row;
     }
   }
-  static HybridTrialRow missing;
+  static CellResult missing;
   ADD_FAILURE() << "row not found";
   return missing;
 }
 
 TEST(HybridExperiment, BaselinesServeCleanlyOnBothNodeTypes) {
   for (const NodeType node_type : {NodeType::kHdd, NodeType::kHybrid}) {
-    const HybridTrialRow& row = find_row(node_type, std::nullopt, 1.0);
+    const CellResult& row = find_row(node_type, std::nullopt, 1.0);
     EXPECT_GE(row.availability, 0.999) << node_type_name(node_type);
     EXPECT_GT(row.requests, 0u);
   }
   // A quiet hybrid node never leaves kNormal: no flash-only ops, no
   // probes, nothing to drain.
-  const HybridTrialRow& hybrid = find_row(NodeType::kHybrid, std::nullopt, 1.0);
+  const CellResult& hybrid = find_row(NodeType::kHybrid, std::nullopt, 1.0);
   EXPECT_EQ(hybrid.flash_only_ops, 0u);
   EXPECT_EQ(hybrid.probes, 0u);
   EXPECT_EQ(hybrid.dirty_pages_left, 0u);
@@ -61,8 +64,8 @@ TEST(HybridExperiment, BaselinesServeCleanlyOnBothNodeTypes) {
 // the hybrid cell, with no spinning medium on its serving path, rides
 // the same attack out above 99%.
 TEST(HybridExperiment, FlashTierTurnsAnOutageIntoANonEvent) {
-  const HybridTrialRow& hdd = find_row(NodeType::kHdd, 0.01, 1.0);
-  const HybridTrialRow& hybrid = find_row(NodeType::kHybrid, 0.01, 1.0);
+  const CellResult& hdd = find_row(NodeType::kHdd, 0.01, 1.0);
+  const CellResult& hybrid = find_row(NodeType::kHybrid, 0.01, 1.0);
 
   EXPECT_LE(hdd.attack_availability, 0.20) << "pure HDD should collapse";
   EXPECT_GE(hybrid.attack_availability, 0.99);
@@ -81,12 +84,12 @@ TEST(HybridExperiment, FlashTierTurnsAnOutageIntoANonEvent) {
 // parked — doubling the attack window does not erode availability.
 TEST(HybridExperiment, LongerAttacksDoNotErodeTheHybrid) {
   for (const double multiplier : {0.5, 1.0, 2.0}) {
-    const HybridTrialRow& row = find_row(NodeType::kHybrid, 0.01, multiplier);
+    const CellResult& row = find_row(NodeType::kHybrid, 0.01, multiplier);
     EXPECT_GE(row.attack_availability, 0.99) << "multiplier " << multiplier;
   }
   // The pure-HDD cell stays collapsed at every length instead.
   for (const double multiplier : {0.5, 1.0, 2.0}) {
-    const HybridTrialRow& row = find_row(NodeType::kHdd, 0.01, multiplier);
+    const CellResult& row = find_row(NodeType::kHdd, 0.01, multiplier);
     EXPECT_LE(row.attack_availability, 0.20) << "multiplier " << multiplier;
   }
 }
@@ -94,9 +97,9 @@ TEST(HybridExperiment, LongerAttacksDoNotErodeTheHybrid) {
 TEST(HybridExperiment, HybridNeverServesWorseThanPureHdd) {
   for (const double distance : {0.01, 0.05}) {
     for (const double multiplier : {0.5, 1.0, 2.0}) {
-      const HybridTrialRow& hdd = find_row(NodeType::kHdd, distance,
+      const CellResult& hdd = find_row(NodeType::kHdd, distance,
                                            multiplier);
-      const HybridTrialRow& hybrid = find_row(NodeType::kHybrid, distance,
+      const CellResult& hybrid = find_row(NodeType::kHybrid, distance,
                                               multiplier);
       EXPECT_GE(hybrid.attack_availability, hdd.attack_availability)
           << "distance " << distance << " multiplier " << multiplier;
@@ -105,60 +108,28 @@ TEST(HybridExperiment, HybridNeverServesWorseThanPureHdd) {
 }
 
 TEST(HybridExperiment, WearStaysInsideTheSmartScale) {
-  for (const HybridTrialRow& row : cached_rows()) {
+  for (const CellResult& row : cached_results()) {
     EXPECT_GE(row.media_wearout, 1);
     EXPECT_LE(row.media_wearout, 100);
-    if (row.node_type == NodeType::kHdd) {
+    if (row.cell.node_type == NodeType::kHdd) {
       EXPECT_EQ(row.media_wearout, 100);  // no flash on board
     }
   }
 }
 
 TEST(HybridExperiment, DeterministicAcrossJobCounts) {
-  HybridExperimentConfig config = hybrid_experiment_config(kScale);
-  config.jobs = 1;
-  const auto serial = run_hybrid_experiment(config);
-  config.jobs = 4;
-  const auto parallel = run_hybrid_experiment(config);
-  const std::string csv_serial =
-      build_hybrid_availability_table(config, serial).to_csv();
-  const std::string csv_parallel =
-      build_hybrid_availability_table(config, parallel).to_csv();
-  EXPECT_EQ(csv_serial, csv_parallel);
-}
-
-std::string golden_path(const std::string& name) {
-  return std::string(DEEPNOTE_GOLDEN_DIR) + "/" + name;
-}
-
-void diff_against_golden(const sim::Table& table, const std::string& name) {
-  const std::string rendered = table.to_csv();
-  const std::string path = golden_path(name);
-  if (std::getenv("DEEPNOTE_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::trunc);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << rendered;
-    out.close();
-    ASSERT_TRUE(out.good()) << "short write to " << path;
-    std::printf("[golden updated: %s]\n", path.c_str());
-    return;
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good())
-      << "missing golden " << path
-      << " — generate it with DEEPNOTE_UPDATE_GOLDEN=1";
-  std::ostringstream expected;
-  expected << in.rdbuf();
-  EXPECT_EQ(expected.str(), rendered)
-      << "table drifted from " << path
-      << "\nIf intentional, regenerate with DEEPNOTE_UPDATE_GOLDEN=1 "
-         "and review the CSV diff.";
+  const std::vector<CellSpec> cells = hybrid_availability_cells(config());
+  EXPECT_EQ(build_hybrid_availability_table(config(),
+                                            run_grid(cells, config().seed, 1))
+                .to_csv(),
+            build_hybrid_availability_table(config(),
+                                            run_grid(cells, config().seed, 4))
+                .to_csv());
 }
 
 TEST(HybridExperiment, GoldenHybridAvailabilityTable) {
-  const HybridExperimentConfig config = hybrid_experiment_config(kScale);
   diff_against_golden(
-      build_hybrid_availability_table(config, cached_rows()),
+      build_hybrid_availability_table(config(), cached_results()),
       "hybrid_availability.csv");
 }
 
@@ -173,39 +144,23 @@ TEST(HybridExperiment, SamePodWriteHeavyCellFinishes) {
   CellSpec spec;
   spec.topology = {.pods = 200, .bays_per_pod = 5};
   spec.node_type = NodeType::kHybrid;
-  spec.policy = PlacementPolicy::kSamePod;
-  spec.replication = 3;
-  spec.traffic.arrival_rate_per_s = 8000.0;
-  spec.traffic.read_fraction = 0.5;
+  spec.engine.balancer.policy = PlacementPolicy::kSamePod;
+  spec.engine.balancer.replication = 3;
+  spec.engine.traffic.arrival_rate_per_s = 8000.0;
+  spec.engine.traffic.read_fraction = 0.5;
   spec.warmup = sim::Duration::from_seconds(10.0);
   spec.attack = sim::Duration::from_seconds(10.0);
   spec.tail = sim::Duration::from_seconds(10.0);
-  spec.seed = 1;
-  ExperimentCell cell(spec);
-  // The engine takes actions sorted by time: every on before any off.
-  std::vector<TimelineAction> actions;
-  std::vector<TimelineAction> offs;
   for (std::size_t pod = 0; pod < spec.topology.pods; pod += 3) {
-    std::vector<TimelineAction> on_off =
-        cell.pod_attack(pod, 650.0, 140.0, 0.01);
-    actions.push_back(std::move(on_off[0]));
-    offs.push_back(std::move(on_off[1]));
+    spec.attacked_pods.push_back(pod);
   }
-  for (TimelineAction& off : offs) actions.push_back(std::move(off));
-  ShardedClusterEngine engine(cell.cluster.topology(),
-                              cell.cluster.device_pointers(), cell.engine);
-  const EngineReport report =
-      engine.run(sim::SimTime::zero(), cell.slo, std::move(actions));
+  spec.seed = 1;
+  const CellResult result = run_cell(spec);
 
-  EXPECT_GT(report.traffic.writes, 0u);
-  EXPECT_GE(cell.slo.availability(), 0.99);
-  std::uint64_t relocated = 0;
-  for (NodeId id = 0; id < cell.cluster.num_nodes(); ++id) {
-    const storage::Ftl& ftl = cell.cluster.hybrid(id)->ftl();
-    relocated += ftl.stats().relocated_pages;
-    EXPECT_LE(ftl.open_blocks(), 1u) << "node " << id;
-  }
-  EXPECT_GT(relocated, 0u) << "GC never relocated a live page";
+  EXPECT_GT(result.writes, 0u);
+  EXPECT_GE(result.availability, 0.99);
+  EXPECT_LE(result.max_open_blocks, 1u);
+  EXPECT_GT(result.relocated_pages, 0u) << "GC never relocated a live page";
 }
 
 }  // namespace

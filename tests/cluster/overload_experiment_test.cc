@@ -7,11 +7,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
-#include <string>
+#include <vector>
 
+#include "golden_table.h"
 #include "sim/trial_runner.h"
 
 namespace deepnote::cluster {
@@ -24,21 +22,28 @@ namespace {
 // extends that to 10 sim minutes).
 constexpr double kScale = 0.05;
 
-const std::vector<OverloadTrialRow>& cached_rows() {
-  static const std::vector<OverloadTrialRow> rows =
-      run_overload_experiment(overload_experiment_config(kScale));
-  return rows;
+const OverloadExperimentConfig& config() {
+  static const OverloadExperimentConfig config =
+      overload_experiment_config(kScale);
+  return config;
 }
 
-const OverloadTrialRow& find_row(OverloadPolicy policy, bool breaker_on,
-                                 double attack_s) {
-  for (const OverloadTrialRow& row : cached_rows()) {
-    if (row.policy == policy && row.breaker_on == breaker_on &&
-        row.attack.seconds() == attack_s) {
+const std::vector<CellResult>& cached_results() {
+  static const std::vector<CellResult> results =
+      run_grid(overload_cells(config()), config().seed, 0);
+  return results;
+}
+
+const CellResult& find_row(OverloadPolicy policy, bool breaker_on,
+                           double attack_s) {
+  for (const CellResult& row : cached_results()) {
+    if (overload_policy(row.cell) == policy &&
+        row.cell.engine.breaker.enabled == breaker_on &&
+        row.cell.attack.seconds() == attack_s) {
       return row;
     }
   }
-  static OverloadTrialRow missing;
+  static CellResult missing;
   ADD_FAILURE() << "overload row not found";
   return missing;
 }
@@ -51,15 +56,15 @@ const OverloadTrialRow& find_row(OverloadPolicy policy, bool breaker_on,
 // dropping, breakers): the same population drains within 30 s.
 TEST(OverloadExperiment, MetastableCollapseAndGovernedRecovery) {
   for (const double attack_s : {5.0, 20.0}) {
-    const OverloadTrialRow& naive =
+    const CellResult& naive =
         find_row(OverloadPolicy::kNaive, false, attack_s);
     EXPECT_FALSE(naive.recovered) << attack_s;
     EXPECT_LT(naive.post_availability, 0.5) << attack_s;
     EXPECT_GT(naive.collapsed_windows, 10u) << attack_s;
     // The storm: retries dominate the request stream.
-    EXPECT_GT(naive.retries, naive.requests / 2) << attack_s;
+    EXPECT_GT(naive.client_retries, naive.requests / 2) << attack_s;
 
-    const OverloadTrialRow& governed =
+    const CellResult& governed =
         find_row(OverloadPolicy::kGoverned, true, attack_s);
     EXPECT_TRUE(governed.recovered) << attack_s;
     EXPECT_LE(governed.recovery_s, 30.0) << attack_s;
@@ -71,12 +76,12 @@ TEST(OverloadExperiment, MetastableCollapseAndGovernedRecovery) {
 // shaping alone caps the depth of the collapse but does not fully break
 // the loop — the grid's middle rows are the ablation.
 TEST(OverloadExperiment, SingleMechanismsAreNotEnough) {
-  const OverloadTrialRow& naive_breaker =
+  const CellResult& naive_breaker =
       find_row(OverloadPolicy::kNaive, true, 5.0);
   EXPECT_FALSE(naive_breaker.recovered);
   EXPECT_LT(naive_breaker.post_availability, 0.5);
 
-  const OverloadTrialRow& governed_only =
+  const CellResult& governed_only =
       find_row(OverloadPolicy::kGoverned, false, 5.0);
   // Far better than the naive collapse, far worse than full governance.
   EXPECT_GT(governed_only.post_availability,
@@ -84,34 +89,36 @@ TEST(OverloadExperiment, SingleMechanismsAreNotEnough) {
 }
 
 TEST(OverloadExperiment, GovernanceTelemetryExplainsTheRecovery) {
-  const OverloadTrialRow& governed =
+  const CellResult& governed =
       find_row(OverloadPolicy::kGoverned, true, 20.0);
   EXPECT_GT(governed.retry_budget_spent, 0u);
   EXPECT_GT(governed.retry_budget_denied, 0u);
   EXPECT_GT(governed.breaker_opens, 0u);
   EXPECT_GT(governed.breaker_short_circuits, 0u);
   // Naive cells have no budget: counters must stay zero.
-  const OverloadTrialRow& naive = find_row(OverloadPolicy::kNaive, false, 20.0);
+  const CellResult& naive = find_row(OverloadPolicy::kNaive, false, 20.0);
   EXPECT_EQ(naive.retry_budget_spent, 0u);
   EXPECT_EQ(naive.retry_budget_denied, 0u);
   // The storm pins the queues at the admission limit.
-  EXPECT_EQ(naive.max_queue_depth,
-            overload_experiment_config(kScale).queue_limit);
+  EXPECT_EQ(naive.max_queue_depth, config().queue_limit);
 }
 
 // One cell, wave-parallel vs inline: the scripted pod attack, the
 // breakers, the budget and the closed-loop retry jitter all land
 // byte-identically regardless of DEEPNOTE_JOBS.
 TEST(OverloadExperiment, CellIsBitIdenticalAcrossEngineJobs) {
-  const OverloadExperimentConfig config = overload_experiment_config(kScale);
-  const sim::Duration attack = sim::Duration::from_seconds(5.0);
-  const std::uint64_t cell_seed = sim::trial_seed(config.seed, 7);
-  const OverloadTrialRow a = run_overload_cell(
-      config, OverloadPolicy::kGoverned, true, attack, cell_seed, nullptr, 1);
-  const OverloadTrialRow b = run_overload_cell(
-      config, OverloadPolicy::kGoverned, true, attack, cell_seed, nullptr, 4);
+  OverloadExperimentConfig narrow = config();
+  narrow.policies = {OverloadPolicy::kGoverned};
+  narrow.breaker_settings = {true};
+  narrow.attack_durations = {sim::Duration::from_seconds(5.0)};
+  CellSpec cell = overload_cells(narrow).front();
+  cell.seed = sim::trial_seed(narrow.seed, 7);
+  cell.engine.jobs = 1;
+  const CellResult a = run_cell(cell);
+  cell.engine.jobs = 4;
+  const CellResult b = run_cell(cell);
   EXPECT_EQ(a.requests, b.requests);
-  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.client_retries, b.client_retries);
   EXPECT_DOUBLE_EQ(a.attack_availability, b.attack_availability);
   EXPECT_DOUBLE_EQ(a.post_availability, b.post_availability);
   EXPECT_DOUBLE_EQ(a.recovery_s, b.recovery_s);
@@ -127,48 +134,19 @@ TEST(OverloadExperiment, CellIsBitIdenticalAcrossEngineJobs) {
 }
 
 TEST(OverloadExperiment, DeterministicAcrossTrialJobCounts) {
-  OverloadExperimentConfig config = overload_experiment_config(kScale);
-  config.attack_durations = {sim::Duration::from_seconds(5.0)};
-  config.policies = {OverloadPolicy::kGoverned};
-  config.jobs = 1;
-  const auto serial = run_overload_experiment(config);
-  config.jobs = 4;
-  const auto parallel = run_overload_experiment(config);
-  EXPECT_EQ(build_overload_recovery_table(config, serial).to_csv(),
-            build_overload_recovery_table(config, parallel).to_csv());
-}
-
-std::string golden_path(const std::string& name) {
-  return std::string(DEEPNOTE_GOLDEN_DIR) + "/" + name;
-}
-
-void diff_against_golden(const sim::Table& table, const std::string& name) {
-  const std::string rendered = table.to_csv();
-  const std::string path = golden_path(name);
-  if (std::getenv("DEEPNOTE_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::trunc);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << rendered;
-    out.close();
-    ASSERT_TRUE(out.good()) << "short write to " << path;
-    std::printf("[golden updated: %s]\n", path.c_str());
-    return;
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good())
-      << "missing golden " << path
-      << " — generate it with DEEPNOTE_UPDATE_GOLDEN=1";
-  std::ostringstream expected;
-  expected << in.rdbuf();
-  EXPECT_EQ(expected.str(), rendered)
-      << "table drifted from " << path
-      << "\nIf intentional, regenerate with DEEPNOTE_UPDATE_GOLDEN=1 "
-         "and review the CSV diff.";
+  OverloadExperimentConfig narrow = config();
+  narrow.attack_durations = {sim::Duration::from_seconds(5.0)};
+  narrow.policies = {OverloadPolicy::kGoverned};
+  const std::vector<CellSpec> cells = overload_cells(narrow);
+  EXPECT_EQ(
+      build_overload_recovery_table(narrow, run_grid(cells, narrow.seed, 1))
+          .to_csv(),
+      build_overload_recovery_table(narrow, run_grid(cells, narrow.seed, 4))
+          .to_csv());
 }
 
 TEST(OverloadExperiment, GoldenOverloadRecoveryTable) {
-  const OverloadExperimentConfig config = overload_experiment_config(kScale);
-  diff_against_golden(build_overload_recovery_table(config, cached_rows()),
+  diff_against_golden(build_overload_recovery_table(config(), cached_results()),
                       "overload_recovery.csv");
 }
 

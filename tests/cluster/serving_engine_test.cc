@@ -222,11 +222,14 @@ TEST(ServingEngine, OutcomeClassificationIsConserved) {
 // absorbs the shed legs via failover. The quiet baseline shows none of
 // it.
 TEST(ServingEngine, AttackSurfacesQueueingPhenomena) {
-  const ServingExperimentConfig config = serving_experiment_config(0.1);
-  const ServingTrialRow quiet = run_serving_cell(
-      config, 4, serving::AdmissionPolicy::kRejectNew, std::nullopt, 0x7e57);
-  const ServingTrialRow attacked = run_serving_cell(
-      config, 4, serving::AdmissionPolicy::kRejectNew, 0.01, 0x7e57);
+  ServingExperimentConfig config = serving_experiment_config(0.1);
+  config.queue_limits = {4};
+  config.admissions = {serving::AdmissionPolicy::kRejectNew};
+  config.distances_m = {std::nullopt, 0.01};
+  std::vector<CellSpec> cells = cluster_serving_cells(config);
+  for (CellSpec& cell : cells) cell.seed = 0x7e57;
+  const CellResult quiet = run_cell(cells[0]);
+  const CellResult attacked = run_cell(cells[1]);
 
   EXPECT_GE(quiet.availability, 0.999);
   EXPECT_EQ(quiet.attack_shed + quiet.attack_timed_out, 0u);

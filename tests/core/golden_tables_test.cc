@@ -13,49 +13,21 @@
 // then review the CSV diff like any other code change (see README.md).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
-#include <string>
-
 #include "core/paper_tables.h"
+#include "golden_table.h"
 
 namespace deepnote::core {
 namespace {
 
-// Scales chosen so the whole suite stays in test-budget territory while
-// the attack effects (throughput collapse, crashes) remain visible.
+// Scales chosen to keep the suite in test-budget territory, at the cost
+// of part of the attack. At 0.1, Fig. 2's writes and Table 2 read the
+// no-attack baseline at every point (the shortened window fits inside
+// the drive's write-cache absorption), and Table 1's writes read
+// 7.4 MB/s at 1 and 5 cm where the paper reads 0. Fig. 2's reads,
+// Table 1's reads and Table 3's crashes do show it.
 constexpr double kSweepScale = 0.1;
 constexpr double kRangeScale = 0.1;
 constexpr double kCrashScale = 0.5;  // limit 150 s; crashes hit ~81 s
-
-std::string golden_path(const std::string& name) {
-  return std::string(DEEPNOTE_GOLDEN_DIR) + "/" + name;
-}
-
-void diff_against_golden(const sim::Table& table, const std::string& name) {
-  const std::string rendered = table.to_csv();
-  const std::string path = golden_path(name);
-  if (std::getenv("DEEPNOTE_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::trunc);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << rendered;
-    out.close();
-    ASSERT_TRUE(out.good()) << "short write to " << path;
-    std::printf("[golden updated: %s]\n", path.c_str());
-    return;
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good())
-      << "missing golden " << path
-      << " — generate it with DEEPNOTE_UPDATE_GOLDEN=1";
-  std::ostringstream expected;
-  expected << in.rdbuf();
-  EXPECT_EQ(expected.str(), rendered)
-      << "table drifted from " << path
-      << "\nIf intentional, regenerate with DEEPNOTE_UPDATE_GOLDEN=1 "
-         "and review the CSV diff.";
-}
 
 TEST(GoldenTables, Fig2FrequencySweep) {
   const Figure2Series series = run_figure2(figure2_config(kSweepScale));
