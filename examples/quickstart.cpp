@@ -14,11 +14,19 @@ using namespace deepnote;
 
 namespace {
 
+/// Scenario 2, timing only: no job reads a written byte back, so the
+/// drive keeps none.
+core::ScenarioSpec scenario2() {
+  core::ScenarioSpec spec =
+      core::make_scenario(core::ScenarioId::kPlasticTower);
+  spec.hdd.retain_data = false;
+  return spec;
+}
+
 workload::FioReport run_fio(core::Testbed& bed, workload::IoPattern pattern,
                             std::uint64_t seed) {
   workload::FioJobConfig job;
   job.pattern = pattern;
-  job.submit_overhead = bed.spec().fio_submit_overhead;
   job.ramp = sim::Duration::from_seconds(2.0);
   job.duration = sim::Duration::from_seconds(10.0);
   job.seed = seed;
@@ -48,12 +56,12 @@ int main() {
 
   // Baseline: no attack.
   {
-    core::Testbed bed(core::make_scenario(core::ScenarioId::kPlasticTower));
+    core::Testbed bed(scenario2());
     print_report("baseline seq write:",
                  run_fio(bed, workload::IoPattern::kSeqWrite, 1));
   }
   {
-    core::Testbed bed(core::make_scenario(core::ScenarioId::kPlasticTower));
+    core::Testbed bed(scenario2());
     print_report("baseline seq read:",
                  run_fio(bed, workload::IoPattern::kSeqRead, 2));
   }
@@ -65,7 +73,7 @@ int main() {
   attack.distance_m = 0.01;
 
   {
-    core::Testbed bed(core::make_scenario(core::ScenarioId::kPlasticTower));
+    core::Testbed bed(scenario2());
     std::printf("\nattack: %.0f Hz at %.0f dB SPL, %.0f cm from the "
                 "enclosure\n",
                 attack.frequency_hz, attack.spl_air_db,
@@ -84,7 +92,7 @@ int main() {
                  run_fio(bed, workload::IoPattern::kSeqWrite, 3));
   }
   {
-    core::Testbed bed(core::make_scenario(core::ScenarioId::kPlasticTower));
+    core::Testbed bed(scenario2());
     bed.apply_attack(sim::SimTime::zero(), attack);
     print_report("under attack seq read:",
                  run_fio(bed, workload::IoPattern::kSeqRead, 4));

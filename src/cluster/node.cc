@@ -51,8 +51,6 @@ Cluster::Cluster(ClusterConfig config) : config_(config) {
     rack.bays = topo.bays_per_pod;
     rack.seed = sim::trial_seed(config_.seed, pod);
     rack.os_device = config_.os_device;
-    // Traffic serving is timing/availability-only: no backing bytes.
-    rack.retain_data = false;
     pods_.emplace_back(rack);
     for (std::size_t bay = 0; bay < topo.bays_per_pod; ++bay) {
       storage::BlockDevice* device = &pods_.back().device(bay);

@@ -1,10 +1,9 @@
 // Shared builders for the paper's headline results (Figure 2, Tables
-// 1-3). The bench mains (bench/fig2_frequency_sweep.cpp,
-// bench/table{1,2,3}_*.cpp) and the golden-table regression suite
-// (tests/core/golden_tables_test.cc) run the SAME code paths through
-// these functions, so a tolerance-free CSV diff of the golden outputs
-// covers the whole experiment pipeline: physics, HDD model, storage
-// stack, workloads, and table formatting.
+// 1-3). `bench/reproduce fig2|table1|table2|table3` and the golden-table
+// regression suite (tests/core/golden_tables_test.cc) run the SAME code
+// paths through these functions, so a tolerance-free CSV diff of the
+// golden outputs covers the whole experiment pipeline: physics, HDD
+// model, storage stack, workloads, and table formatting.
 //
 // `scale` in (0, 1] shrinks the measurement windows (and, for Figure 2,
 // coarsens the frequency grid) so the regression suite can afford the

@@ -13,9 +13,7 @@ RackTestbed::RackTestbed(RackConfig config)
     throw std::invalid_argument("rack: needs at least one bay");
   }
   if (config_.os_device.has_value()) spec_.os_device = *config_.os_device;
-  if (config_.retain_data.has_value()) {
-    spec_.hdd.retain_data = *config_.retain_data;
-  }
+  spec_.hdd.retain_data = false;
   for (std::size_t bay = 0; bay < config_.bays; ++bay) {
     structure::MountSpec mount = spec_.mount;
     mount.broadband_coupling_db += bay_offset_db(bay);

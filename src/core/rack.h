@@ -7,8 +7,10 @@
 // tower: one structural chain per bay with a per-bay coupling offset,
 // and an independent drive + OS block device per bay.
 //
-// Used by the rack ablation bench to show partial-rack kills: an attack
-// tone can take out the near bays while far bays keep serving.
+// Every bay is timing-only: its drive keeps no written bytes, which no
+// rack user reads back. The rack ablation (`reproduce rack`) uses it to
+// show partial-rack kills: an attack tone can take out the near bays
+// while far bays keep serving. Each cluster pod is one rack.
 #pragma once
 
 #include <cstddef>
@@ -35,8 +37,6 @@ struct RackConfig {
   /// Override the scenario's OS block-layer config (the cluster layer
   /// runs datacenter-tuned command timeouts instead of desktop defaults).
   std::optional<storage::OsDeviceConfig> os_device;
-  /// Override spec.hdd.retain_data (timing-only serving keeps no bytes).
-  std::optional<bool> retain_data;
 };
 
 class RackTestbed {

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "core/fio_trial.h"
 #include "core/testbed.h"
 #include "sim/trial_runner.h"
 #include "storage/extfs.h"
@@ -17,28 +18,19 @@ std::vector<FioRangeRow> RangeTest::run_fio(
         FioRangeRow row;
         row.distance_m = distance;
 
-        auto run_job = [&](workload::IoPattern pattern,
-                           std::uint64_t seed) -> workload::FioReport {
-          ScenarioSpec spec = make_scenario(scenario_, seed);
-          spec.hdd.retain_data = false;  // raw-device job: timing only
-          Testbed bed(spec);
-          if (distance.has_value()) {
-            AttackConfig attack = config.attack;
-            attack.distance_m = *distance;
-            bed.apply_attack(sim::SimTime::zero(), attack);
-          }
-          workload::FioJobConfig job;
-          job.pattern = pattern;
-          job.submit_overhead = spec.fio_submit_overhead;
-          job.ramp = config.ramp;
-          job.duration = config.duration;
-          job.seed = seed;
-          workload::FioRunner runner(bed.device());
-          return runner.run(sim::SimTime::zero(), job);
-        };
-
-        row.read = run_job(workload::IoPattern::kSeqRead, row_seed);
-        row.write = run_job(workload::IoPattern::kSeqWrite, row_seed + 1);
+        FioTrial trial;
+        if (distance.has_value()) {
+          trial.attack = config.attack;
+          trial.attack->distance_m = *distance;
+        }
+        trial.ramp = config.ramp;
+        trial.duration = config.duration;
+        trial.pattern = workload::IoPattern::kSeqRead;
+        trial.seed = row_seed;
+        row.read = run_fio_trial(make_scenario(scenario_, trial.seed), trial);
+        trial.pattern = workload::IoPattern::kSeqWrite;
+        trial.seed = row_seed + 1;
+        row.write = run_fio_trial(make_scenario(scenario_, trial.seed), trial);
         return row;
       });
 }

@@ -1,9 +1,5 @@
 #include "core/report.h"
 
-#include <iostream>
-#include <string_view>
-
-#include <cmath>
 #include <cstdio>
 
 namespace deepnote::core {
@@ -94,22 +90,6 @@ sim::Table format_figure2(
     }
   }
   return t;
-}
-
-
-void print_table(const sim::Table& table, int argc, char** argv) {
-  std::string_view mode;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--csv" || arg == "--md" || arg == "--markdown") mode = arg;
-  }
-  if (mode == "--csv") {
-    std::cout << table.to_csv() << "\n";
-  } else if (mode == "--md" || mode == "--markdown") {
-    std::cout << table.to_markdown() << "\n";
-  } else {
-    std::cout << table << "\n";
-  }
 }
 
 }  // namespace deepnote::core

@@ -32,9 +32,4 @@ sim::Table format_figure2(
 
 std::string format_distance(const std::optional<double>& distance_m);
 
-/// Print a table honouring an output-format flag anywhere in argv:
-/// `--csv`, `--md`/`--markdown` (the last one given wins), or (default)
-/// aligned text.
-void print_table(const sim::Table& table, int argc, char** argv);
-
 }  // namespace deepnote::core

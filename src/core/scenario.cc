@@ -191,7 +191,6 @@ ScenarioSpec make_scenario(ScenarioId id, std::uint64_t seed) {
 
   spec.hdd = make_hdd_config(seed);
   spec.os_device = make_os_device_config();
-  spec.fio_submit_overhead = sim::Duration::from_micros(100);
   return spec;
 }
 

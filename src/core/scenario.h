@@ -14,7 +14,6 @@
 
 #include "acoustics/propagation.h"
 #include "hdd/drive.h"
-#include "sim/time.h"
 #include "storage/os_device.h"
 #include "structure/chain.h"
 
@@ -45,11 +44,6 @@ struct ScenarioSpec {
 
   hdd::HddConfig hdd;
   storage::OsDeviceConfig os_device;
-
-  /// Host-side per-op submission cost used by the FIO jobs (calibrated
-  /// together with the drive command overheads to the paper's no-attack
-  /// 22.7 / 18.0 MB/s baselines).
-  sim::Duration fio_submit_overhead = sim::Duration::from_micros(100);
 };
 
 /// Build the calibrated spec for one of the paper's scenarios.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/fio_trial.h"
 #include "core/testbed.h"
 #include "sim/trial_runner.h"
 
@@ -14,37 +15,24 @@ SweepPoint FrequencySweep::measure_point(double frequency_hz,
   SweepPoint point;
   point.frequency_hz = attack_on ? frequency_hz : 0.0;
 
-  AttackConfig attack = config.attack;
-  attack.frequency_hz = frequency_hz;
-  attack.start = sim::SimTime::zero();
-  attack.end = sim::SimTime::infinity();
+  FioTrial trial;
+  trial.ramp = config.ramp;
+  trial.duration = config.duration;
+  if (attack_on) {
+    trial.attack = config.attack;
+    trial.attack->frequency_hz = frequency_hz;
+    // The prediction is pure in the attack parameters, so any testbed of
+    // this scenario gives the one the write job runs under.
+    point.offtrack_nm = Testbed(make_scenario(scenario_, config.seed))
+                            .predicted_offtrack_nm(*trial.attack);
+  }
 
-  // One testbed per job; the write-side testbed also provides the
-  // off-track prediction (it is pure in the attack parameters, so no
-  // separate analysis testbed is needed).
-  auto run_job = [&](workload::IoPattern pattern, std::uint64_t seed,
-                     double* offtrack_nm) -> workload::FioReport {
-    ScenarioSpec spec = make_scenario(scenario_, seed);
-    spec.hdd.retain_data = false;  // raw-device job: timing only
-    Testbed bed(spec);
-    if (attack_on) {
-      if (offtrack_nm) *offtrack_nm = bed.predicted_offtrack_nm(attack);
-      bed.apply_attack(sim::SimTime::zero(), attack);
-    }
-    workload::FioJobConfig job;
-    job.pattern = pattern;
-    job.submit_overhead = spec.fio_submit_overhead;
-    job.ramp = config.ramp;
-    job.duration = config.duration;
-    job.seed = seed;
-    workload::FioRunner runner(bed.device());
-    return runner.run(sim::SimTime::zero(), job);
-  };
-
-  point.write = run_job(workload::IoPattern::kSeqWrite, config.seed,
-                        &point.offtrack_nm);
-  point.read =
-      run_job(workload::IoPattern::kSeqRead, config.seed + 1, nullptr);
+  trial.pattern = workload::IoPattern::kSeqWrite;
+  trial.seed = config.seed;
+  point.write = run_fio_trial(make_scenario(scenario_, trial.seed), trial);
+  trial.pattern = workload::IoPattern::kSeqRead;
+  trial.seed = config.seed + 1;
+  point.read = run_fio_trial(make_scenario(scenario_, trial.seed), trial);
   return point;
 }
 

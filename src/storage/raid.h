@@ -2,7 +2,7 @@
 //
 // Exists to quantify a deployment consequence of the acoustic attack:
 // redundancy assumes *independent* drive failures, but an attack on a
-// shared enclosure kills all members at once (see bench/ablation_rack).
+// shared enclosure kills all members at once (see `bench/reproduce rack`).
 //
 // Raid1Device is a mirror: writes go to every member (command completion
 // = slowest member), reads are served by the first member that answers,

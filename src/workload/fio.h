@@ -26,6 +26,13 @@ enum class IoPattern {
   kRandMixed,
 };
 
+/// Per-op host-side submission cost (syscall + block layer), calibrated
+/// with the drive command overheads against the paper's no-attack
+/// 22.7 / 18.0 MB/s baselines. Writers that issue their own commands pay
+/// it too.
+inline constexpr sim::Duration kSubmitOverhead =
+    sim::Duration::from_micros(100);
+
 struct FioJobConfig {
   IoPattern pattern = IoPattern::kSeqWrite;
   std::uint32_t block_bytes = 4096;
@@ -34,9 +41,7 @@ struct FioJobConfig {
   std::uint64_t span_bytes = 1ull << 30;
   /// Fraction of reads for kRandMixed (fio --rwmixread, default 70%).
   double read_mix = 0.7;
-  /// Per-op host-side submission cost (syscall + block layer), calibrated
-  /// with the drive command overheads against the paper's baselines.
-  sim::Duration submit_overhead = sim::Duration::from_micros(100);
+  sim::Duration submit_overhead = kSubmitOverhead;
   sim::Duration ramp = sim::Duration::from_seconds(5.0);
   sim::Duration duration = sim::Duration::from_seconds(30.0);
   std::uint64_t seed = 0xf10;

@@ -7,6 +7,7 @@
 #include "core/attack.h"
 #include "core/scenario.h"
 #include "core/testbed.h"
+#include "workload/fio.h"
 
 namespace deepnote::core {
 namespace {
@@ -120,7 +121,7 @@ TEST(DetectorTest, EndToEndAgainstSimulatedAttack) {
       bed.apply_attack(t, attack);
       attack_applied = true;
     }
-    const auto begin = t + spec.fio_submit_overhead;
+    const auto begin = t + workload::kSubmitOverhead;
     const storage::BlockIo io = bed.device().write(begin, lba, 8, block);
     if (io.ok()) {
       det.record_ok(io.complete, (io.complete - t).seconds());

@@ -1,10 +1,14 @@
-// Golden-table regression suite for the paper's headline results.
+// Golden-table regression suite for the paper's headline results and
+// its ablations.
 //
-// Each test runs the SAME pipeline as the corresponding bench binary
-// (core/paper_tables.h) at a reduced scale and default seed, renders the
-// table to CSV, and diffs it byte-for-byte against the checked-in golden
-// under tests/golden/. There is NO tolerance: any drift in physics,
-// storage modelling, trial seeding, or table formatting fails the diff.
+// Each test runs the SAME pipeline as `bench/reproduce <table>`
+// (core/paper_tables.h, core/ablation_tables.h) with default seeds,
+// renders the tables to CSV, and diffs them byte-for-byte against the
+// checked-in golden under tests/golden/. There is NO tolerance: any drift
+// in physics, storage modelling, trial seeding, or table formatting fails
+// the diff. The paper tables run at a reduced scale; the ablations run
+// at the driver's one scale, so CI's bench-smoke job also diffs their
+// goldens against `reproduce <table> --csv`.
 //
 // Intentional changes: regenerate the goldens with
 //
@@ -13,6 +17,7 @@
 // then review the CSV diff like any other code change (see README.md).
 #include <gtest/gtest.h>
 
+#include "core/ablation_tables.h"
 #include "core/paper_tables.h"
 #include "golden_table.h"
 
@@ -52,6 +57,35 @@ TEST(GoldenTables, Table2RangeKvdb) {
 TEST(GoldenTables, Table3Crashes) {
   diff_against_golden(build_table3(table3_config(kCrashScale)),
                       "table3_crashes.csv");
+}
+
+TEST(GoldenTables, AblationEnvironment) {
+  diff_against_golden(environment_tables(kill_spl_at_wall_db()),
+                      "ablation_environment.csv");
+}
+
+TEST(GoldenTables, AblationDefenses) {
+  diff_against_golden(defense_tables(), "ablation_defenses.csv");
+}
+
+TEST(GoldenTables, AblationRack) {
+  diff_against_golden(rack_tables(), "ablation_rack.csv");
+}
+
+TEST(GoldenTables, AblationModel) {
+  diff_against_golden(model_tables(), "ablation_model.csv");
+}
+
+TEST(GoldenTables, AblationDetection) {
+  diff_against_golden(detection_tables(), "ablation_detection.csv");
+}
+
+TEST(GoldenTables, AblationVessel) {
+  diff_against_golden(vessel_tables(), "ablation_vessel.csv");
+}
+
+TEST(GoldenTables, AblationPulsed) {
+  diff_against_golden(pulsed_tables(), "ablation_pulsed.csv");
 }
 
 }  // namespace

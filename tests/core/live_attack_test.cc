@@ -56,7 +56,7 @@ TEST(LiveAttackTest, SweepKillsOnlyDuringVulnerableDwell) {
   std::uint64_t lba = 0;
   workload::LambdaActor writer(
       SimTime::zero(), [&](SimTime now) -> SimTime {
-        const auto begin = now + spec.fio_submit_overhead;
+        const auto begin = now + workload::kSubmitOverhead;
         const storage::BlockIo io = bed.device().write(begin, lba, 8, block);
         if (io.ok()) {
           const auto dwell = static_cast<std::size_t>(

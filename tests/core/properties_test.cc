@@ -2,6 +2,7 @@
 // testbed configuration, parameterized over all four scenarios.
 #include <gtest/gtest.h>
 
+#include "core/fio_trial.h"
 #include "core/scenario.h"
 #include "core/testbed.h"
 #include "workload/fio.h"
@@ -14,17 +15,11 @@ class ScenarioPropertyTest : public ::testing::TestWithParam<ScenarioId> {};
 TEST_P(ScenarioPropertyTest, BaselinesIdenticalAcrossScenarios) {
   // The victim drive is the same in every scenario; without an attack the
   // container cannot matter.
-  ScenarioSpec spec = make_scenario(GetParam());
-  spec.hdd.retain_data = false;
-  Testbed bed(spec);
-  workload::FioJobConfig job;
-  job.pattern = workload::IoPattern::kSeqWrite;
-  job.submit_overhead = spec.fio_submit_overhead;
-  job.ramp = sim::Duration::from_seconds(1.0);
-  job.duration = sim::Duration::from_seconds(5.0);
-  workload::FioRunner runner(bed.device());
-  EXPECT_NEAR(runner.run(sim::SimTime::zero(), job).throughput_mbps, 22.7,
-              0.2);
+  FioTrial trial;
+  trial.ramp = sim::Duration::from_seconds(1.0);
+  trial.duration = sim::Duration::from_seconds(5.0);
+  EXPECT_NEAR(run_fio_trial(make_scenario(GetParam()), trial).throughput_mbps,
+              22.7, 0.2);
 }
 
 TEST_P(ScenarioPropertyTest, OfftrackScalesLinearlyWithSourcePressure) {
@@ -96,20 +91,14 @@ INSTANTIATE_TEST_SUITE_P(AllScenarios, ScenarioPropertyTest,
 
 TEST(DeterminismTest, IdenticalSeedsGiveIdenticalExperiments) {
   auto run_once = [] {
-    ScenarioSpec spec = make_scenario(ScenarioId::kPlasticTower, 1234);
-    spec.hdd.retain_data = false;
-    Testbed bed(spec);
-    AttackConfig attack;
-    attack.distance_m = 0.10;  // stochastic regime: trips + retries
-    bed.apply_attack(sim::SimTime::zero(), attack);
-    workload::FioJobConfig job;
-    job.pattern = workload::IoPattern::kSeqWrite;
-    job.submit_overhead = spec.fio_submit_overhead;
-    job.ramp = sim::Duration::from_seconds(2.0);
-    job.duration = sim::Duration::from_seconds(10.0);
-    job.seed = 99;
-    workload::FioRunner runner(bed.device());
-    return runner.run(sim::SimTime::zero(), job);
+    FioTrial trial;
+    trial.attack = AttackConfig{};
+    trial.attack->distance_m = 0.10;  // stochastic regime: trips + retries
+    trial.ramp = sim::Duration::from_seconds(2.0);
+    trial.duration = sim::Duration::from_seconds(10.0);
+    trial.seed = 99;
+    return run_fio_trial(make_scenario(ScenarioId::kPlasticTower, 1234),
+                         trial);
   };
   const auto a = run_once();
   const auto b = run_once();
@@ -124,19 +113,13 @@ TEST(DeterminismTest, IdenticalSeedsGiveIdenticalExperiments) {
 
 TEST(DeterminismTest, DifferentDriveSeedsDifferInStochasticRegime) {
   auto run_with_seed = [](std::uint64_t seed) {
-    ScenarioSpec spec = make_scenario(ScenarioId::kPlasticTower, seed);
-    spec.hdd.retain_data = false;
-    Testbed bed(spec);
-    AttackConfig attack;
-    attack.distance_m = 0.10;
-    bed.apply_attack(sim::SimTime::zero(), attack);
-    workload::FioJobConfig job;
-    job.pattern = workload::IoPattern::kSeqWrite;
-    job.submit_overhead = spec.fio_submit_overhead;
-    job.ramp = sim::Duration::from_seconds(2.0);
-    job.duration = sim::Duration::from_seconds(10.0);
-    workload::FioRunner runner(bed.device());
-    return runner.run(sim::SimTime::zero(), job).ops_completed;
+    FioTrial trial;
+    trial.attack = AttackConfig{};
+    trial.attack->distance_m = 0.10;
+    trial.ramp = sim::Duration::from_seconds(2.0);
+    trial.duration = sim::Duration::from_seconds(10.0);
+    return run_fio_trial(make_scenario(ScenarioId::kPlasticTower, seed), trial)
+        .ops_completed;
   };
   EXPECT_NE(run_with_seed(1), run_with_seed(2));
 }
@@ -149,7 +132,6 @@ TEST(FioMixedTest, MixedPatternSplitsByRatio) {
   job.pattern = workload::IoPattern::kRandMixed;
   job.read_mix = 0.7;
   job.span_bytes = 64 << 20;  // small span: seeks stay short
-  job.submit_overhead = spec.fio_submit_overhead;
   job.ramp = sim::Duration::from_seconds(1.0);
   job.duration = sim::Duration::from_seconds(10.0);
   workload::FioRunner runner(bed.device());

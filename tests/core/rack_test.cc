@@ -79,7 +79,6 @@ TEST(RackTest, BaysServeIndependently) {
   auto run = [&](std::size_t bay) {
     workload::FioJobConfig job;
     job.pattern = workload::IoPattern::kSeqWrite;
-    job.submit_overhead = rack.spec().fio_submit_overhead;
     job.ramp = sim::Duration::from_seconds(2.0);
     job.duration = sim::Duration::from_seconds(5.0);
     workload::FioRunner runner(rack.device(bay));

@@ -17,7 +17,6 @@ using sim::SimTime;
 void run_write_job(core::Testbed& bed, double seconds) {
   workload::FioJobConfig job;
   job.pattern = workload::IoPattern::kSeqWrite;
-  job.submit_overhead = bed.spec().fio_submit_overhead;
   job.ramp = sim::Duration::from_seconds(1.0);
   job.duration = sim::Duration::from_seconds(seconds);
   workload::FioRunner runner(bed.device());
