@@ -4,10 +4,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <deque>
 #include <vector>
 
 #include "acoustics/absorption.h"
 #include "cluster/engine.h"
+#include "cluster/hybrid.h"
 #include "cluster/node.h"
 #include "cluster/traffic.h"
 #include "core/attack.h"
@@ -22,6 +24,7 @@
 #include "storage/extfs.h"
 #include "storage/fault_harness.h"
 #include "storage/fault_workloads.h"
+#include "storage/flash/ftl.h"
 #include "storage/kvdb/db.h"
 #include "storage/kvdb/memtable.h"
 #include "storage/mem_disk.h"
@@ -399,6 +402,40 @@ static void BM_DbBenchFillseq(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * kKeysPerIter));
 }
 BENCHMARK(BM_DbBenchFillseq);
+
+// ---------------------------------------------------------------------------
+// flash
+
+// One whole-page write to a random FTL out of N, each with the hybrid
+// tier's fleet geometry and no payload. Each FTL takes its writes over
+// 2,048 pages (8 MiB), so a warm one runs steady, cheap GC. At N =
+// 1,000, as on a 1k-node hybrid fleet, every write meets its FTL cold
+// in cache; N = 1 is the warm case a one-device bench measures.
+static void BM_FtlWriteAcrossFleet(benchmark::State& state) {
+  constexpr std::uint64_t kPages = 2048;
+  const auto count = static_cast<std::size_t>(state.range(0));
+  const storage::FlashConfig geometry =
+      cluster::HybridConfig::provisioned_flash();
+  std::deque<storage::FlashDevice> flashes;
+  std::deque<storage::Ftl> ftls;
+  for (std::size_t i = 0; i < count; ++i) {
+    flashes.emplace_back(geometry);
+    ftls.emplace_back(flashes.back());
+  }
+  std::vector<sim::SimTime> now(count, sim::SimTime::zero());
+  const std::vector<std::byte> page(
+      static_cast<std::size_t>(geometry.page_sectors) *
+      storage::kBlockSectorSize);
+  sim::Rng rng(7);
+  for (auto _ : state) {
+    const std::size_t n = rng.next_u64() % count;
+    const std::uint64_t lba = (rng.next_u64() % kPages) * geometry.page_sectors;
+    now[n] = ftls[n].write(now[n], lba, geometry.page_sectors, page).complete;
+    benchmark::DoNotOptimize(now[n]);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FtlWriteAcrossFleet)->Arg(1)->Arg(1000);
 
 // ---------------------------------------------------------------------------
 // crash-consistency harness

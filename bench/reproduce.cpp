@@ -45,8 +45,9 @@ struct Output {
 struct Target {
   const char* name;
   Output (*run)(double scale);
-  const char* text;   ///< printed after the tables
-  bool grid = false;  ///< takes --scale
+  const char* text;     ///< printed after the tables
+  bool pooled = false;  ///< runs its trials on the DEEPNOTE_JOBS pool
+  bool grid = false;    ///< takes --scale
 };
 
 const Target kTargets[] = {
@@ -61,7 +62,8 @@ const Target kTargets[] = {
      "Paper reference (Fig. 2): write throughput collapses to ~0 between\n"
      "~300 Hz and 1.3-1.7 kHz depending on scenario; reads collapse over\n"
      "a narrower band (300-800 Hz in Scenario 3); no effect above ~2 kHz\n"
-     "or below ~300 Hz; writes are hit harder than reads throughout.\n"},
+     "or below ~300 Hz; writes are hit harder than reads throughout.\n",
+     /*pooled=*/true},
     {"table1",
      [](double) {
        return Output{{}, {core::build_table1(core::table1_config())}};
@@ -69,7 +71,8 @@ const Target kTargets[] = {
      "Paper reference (Table 1):\n"
      "  No Attack: R 18.0 / W 22.7 MB/s, lat 0.2/0.2 ms\n"
      "  1 cm: 0/0 (-/-)   5 cm: 0/0 (-/-)   10 cm: 12.6/0.3\n"
-     "  15 cm: 17.6/2.9   20 cm: 17.6/21.1  25 cm: 18.0/22.0\n"},
+     "  15 cm: 17.6/2.9   20 cm: 17.6/21.1  25 cm: 18.0/22.0\n",
+     /*pooled=*/true},
     {"table2",
      [](double) {
        return Output{{},
@@ -78,13 +81,15 @@ const Target kTargets[] = {
                                          core::table2_db_config())}};
      },
      "Paper reference (Table 2): No Attack 8.7 MB/s & 1.1; 1-10 cm: 0 & 0; "
-     "15 cm: 3.7 & 0.9; 20-25 cm: 8.6 & 1.1.\n"},
+     "15 cm: 3.7 & 0.9; 20-25 cm: 8.6 & 1.1.\n",
+     /*pooled=*/true},
     {"table3",
      [](double) {
        return Output{{}, {core::build_table3(core::table3_config())}};
      },
      "Paper reference (Table 3): Ext4 80.0 s (JBD error -5), Ubuntu 81.0 s, "
-     "RocksDB 81.3 s; average 80.8 s.\n"},
+     "RocksDB 81.3 s; average 80.8 s.\n",
+     /*pooled=*/true},
     {"environment",
      [](double) {
        const double kill_spl = core::kill_spl_at_wall_db();
@@ -143,7 +148,7 @@ const Target kTargets[] = {
      "Reading: duty cycle acts as a throughput dial — the attacker can\n"
      "hold the victim at any chosen fraction of its capacity. Unlike\n"
      "the crash attack this throttling produces no error logs at all;\n"
-     "only latency monitoring catches it (see ablation_detection).\n"},
+     "only latency monitoring catches it (see `reproduce detection`).\n"},
     {"availability",
      [](double scale) {
        const auto config = cluster::cluster_experiment_config(scale);
@@ -155,7 +160,7 @@ const Target kTargets[] = {
      "Headline: cross-pod 3-way replication rides out the pod attack at "
      ">99% availability; same-pod placement collapses during the attack "
      "window.\n",
-     /*grid=*/true},
+     /*pooled=*/true, /*grid=*/true},
     {"serving",
      [](double scale) {
        const auto config = cluster::serving_experiment_config(scale);
@@ -168,7 +173,7 @@ const Target kTargets[] = {
      "failover), but the tail inflates and the decomposition pins it on "
      "queue wait, not device service — with shallow queues converting the "
      "backlog into shed legs and failovers.\n",
-     /*grid=*/true},
+     /*pooled=*/true, /*grid=*/true},
     {"overload",
      [](double scale) {
        const auto config = cluster::overload_experiment_config(scale);
@@ -182,7 +187,7 @@ const Target kTargets[] = {
      "metastable failure sustained purely by retry load. Governed retries "
      "(capped exponential + full jitter, retry budget, expired-request "
      "dropping) recover within seconds of attack-off.\n",
-     /*grid=*/true},
+     /*pooled=*/true, /*grid=*/true},
     {"hybrid",
      [](double scale) {
        const auto config = cluster::hybrid_experiment_config(scale);
@@ -195,7 +200,7 @@ const Target kTargets[] = {
      "lose most attack-window requests at 1 cm and about a third at 5 cm, "
      "while flash-fronted hybrid nodes keep serving above 99% at every "
      "distance and attack length.\n",
-     /*grid=*/true},
+     /*pooled=*/true, /*grid=*/true},
 };
 
 int usage(const std::string& why) {
@@ -259,8 +264,10 @@ int main(int argc, char** argv) {
     return usage(std::string(target->name) + " runs at full scale only");
   }
 
-  std::cerr << "[trial engine: " << sim::resolve_jobs(0)
-            << " jobs; set DEEPNOTE_JOBS to override]\n";
+  if (target->pooled) {
+    std::cerr << "[trial engine: " << sim::resolve_jobs(0)
+              << " jobs; set DEEPNOTE_JOBS to override]\n";
+  }
   const Output out = target->run(scale.value_or(1.0));
   // CSV output starts with the data, so any lead follows the tables.
   if (format != Format::kCsv) std::cout << out.lead;

@@ -220,6 +220,16 @@ storage::BlockIo HybridDevice::write(sim::SimTime now, std::uint64_t lba,
   return f;
 }
 
+void HybridDevice::prefetch() const {
+  const char* first = reinterpret_cast<const char*>(this);
+  for (std::size_t at = 0; at < sizeof(HybridDevice); at += 64) {
+    __builtin_prefetch(first + at);
+  }
+  // An object not aligned to a line ends on one more.
+  __builtin_prefetch(first + sizeof(HybridDevice) - 1);
+  hdd_.prefetch();
+}
+
 storage::BlockIo HybridDevice::flush(sim::SimTime now) {
   const storage::BlockIo f = ftl_.flush(now);
   if (mode_ != TierMode::kFlashOnly) {

@@ -101,6 +101,10 @@ class HybridDevice final : public storage::BlockDevice {
                          std::uint32_t sector_count,
                          std::span<const std::byte> in) override;
   storage::BlockIo flush(sim::SimTime now) override;
+  /// Starts loading this object's lines (the FTL and NAND model are
+  /// members) and forwards to the bulk tier. It reads only `hdd_`, next
+  /// to the vtable pointer on the object's first line.
+  void prefetch() const override;
 
   TierMode mode() const { return mode_; }
   const HybridStats& stats() const { return stats_; }

@@ -159,10 +159,14 @@ void Hdd::pop_front_to_media() {
     durable_.write(front.lba, front.sector_count,
                    std::span<const std::byte>(front.data));
   }
-  for (std::uint32_t s = 0; s < front.sector_count; ++s) {
-    auto it = pending_counts_.find(front.lba + s);
-    if (it != pending_counts_.end() && --it->second == 0) {
-      pending_counts_.erase(it);
+  // Only a drive that retains data counts pending sectors; skip the
+  // lookups on a timing-only one.
+  if (!pending_counts_.empty()) {
+    for (std::uint32_t s = 0; s < front.sector_count; ++s) {
+      auto it = pending_counts_.find(front.lba + s);
+      if (it != pending_counts_.end() && --it->second == 0) {
+        pending_counts_.erase(it);
+      }
     }
   }
   cache_bytes_ -= front.sector_count * kSectorSize;

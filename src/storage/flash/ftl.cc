@@ -200,6 +200,12 @@ BlockIo Ftl::write(sim::SimTime now, std::uint64_t lba,
     const std::uint32_t in_page = static_cast<std::uint32_t>(abs % psec);
     const std::uint32_t run = std::min<std::uint32_t>(
         static_cast<std::uint32_t>(sector_count - s), psec - in_page);
+    // A whole page programs straight from the caller's bytes: GC
+    // relocates through gc_buf_, so nothing place_page runs can touch
+    // them.
+    std::span<const std::byte> page =
+        in.subspan(static_cast<std::size_t>(s) * kBlockSectorSize,
+                   static_cast<std::size_t>(run) * kBlockSectorSize);
     if (run < psec) {
       // Sub-page write: read-modify-write through the page buffer.
       if (map_[lp] != kUnmapped) {
@@ -213,13 +219,10 @@ BlockIo Ftl::write(sim::SimTime now, std::uint64_t lba,
       }
       std::memcpy(page_buf_.data() +
                       static_cast<std::size_t>(in_page) * kBlockSectorSize,
-                  in.data() + s * kBlockSectorSize,
-                  static_cast<std::size_t>(run) * kBlockSectorSize);
-    } else {
-      std::memcpy(page_buf_.data(), in.data() + s * kBlockSectorSize,
-                  page_buf_.size());
+                  page.data(), page.size());
+      page = page_buf_;
     }
-    if (!place_page(now, lp, page_buf_)) {
+    if (!place_page(now, lp, page)) {
       return BlockIo{BlockStatus::kIoError, now};
     }
     ++stats_.host_page_writes;

@@ -108,7 +108,9 @@ class Ftl final : public BlockDevice {
   std::vector<std::uint32_t> rmap_;        ///< physical page -> logical page
   std::vector<std::uint16_t> valid_count_; ///< per block
   std::vector<BlockState> state_;          ///< per block
-  std::vector<std::byte> page_buf_;        ///< one-page host RMW staging
+  /// Staging for a sub-page host write's read-modify-write only; a
+  /// whole page programs straight from the caller's span.
+  std::vector<std::byte> page_buf_;
   /// GC relocation scratch. Separate from page_buf_: ensure_open_block
   /// inside place_page can trigger GC while page_buf_ holds pending
   /// host data, and relocation must not clobber it.

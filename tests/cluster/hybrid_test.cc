@@ -2,11 +2,13 @@
 // controllable fake HDD: write acks at flash latency, HDD failures are
 // absorbed (not surfaced) before any detection, the tier detector flips
 // to flash-only, probes bring the node back through draining to normal,
-// and a drain-time failure falls straight back to flash-only.
+// a drain-time failure falls straight back to flash-only, and a
+// prefetch hint reaches the bulk tier without changing any outcome.
 #include "cluster/hybrid.h"
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 namespace deepnote::cluster {
@@ -35,11 +37,13 @@ class FakeHdd final : public storage::BlockDevice {
     ++flushes;
     return outcome(now);
   }
+  void prefetch() const override { ++prefetches; }
 
   bool failing = false;
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
   std::uint64_t flushes = 0;
+  mutable std::uint64_t prefetches = 0;
 
  private:
   storage::BlockIo outcome(sim::SimTime now) const {
@@ -265,6 +269,83 @@ TEST(HybridDeviceTest, WearFeedsTheSmartMediaWearoutShape) {
   // Fresh tier: no erases, full health headroom for SMART 177 upstream.
   EXPECT_EQ(rig.tier.flash().mean_erase_count(), 0.0);
   EXPECT_GT(rig.tier.flash().config().rated_erase_cycles, 0u);
+}
+
+// What one pass of `run_script` observed: every op's status and
+// completion time, and the tier's state at the end.
+struct ScriptRun {
+  std::vector<std::pair<bool, std::int64_t>> ops;
+  HybridStats stats;
+  TierMode mode = TierMode::kNormal;
+  std::uint64_t dirty = 0;
+  std::uint64_t hdd_reads = 0;
+  std::uint64_t hdd_writes = 0;
+  std::uint64_t hdd_prefetches = 0;
+};
+
+// Drives a fresh rig through every tier mode: healthy traffic, an
+// attack (absorbed failures, the flip to flash-only, failed probes,
+// dirty writes), recovery (good probes, draining) and healthy traffic
+// again. With `hinted`, the tier is told to prefetch before every op.
+ScriptRun run_script(bool hinted) {
+  Rig rig;
+  ScriptRun run;
+  std::vector<std::byte> out(2 * storage::kBlockSectorSize);
+  SimTime t = SimTime::zero();
+  const auto phase = [&](int ops, Duration gap) {
+    for (int i = 0; i < ops; ++i) {
+      if (hinted) rig.tier.prefetch();
+      const std::uint64_t lba = static_cast<std::uint64_t>(i % 12) * 2;
+      const storage::BlockIo io =
+          i % 3 == 0 ? rig.tier.read(t, lba, 2, out)
+                     : rig.tier.write(t, lba, 2,
+                                      pattern(2, static_cast<std::uint8_t>(i)));
+      run.ops.emplace_back(io.ok(), (io.complete - SimTime::zero()).ns());
+      t = t + gap;
+    }
+  };
+  phase(30, Duration::from_millis(2.0));
+  rig.hdd.failing = true;
+  phase(30, Duration::from_millis(100.0));
+  rig.hdd.failing = false;
+  phase(40, Duration::from_millis(100.0));
+  run.stats = rig.tier.stats();
+  run.mode = rig.tier.mode();
+  run.dirty = rig.tier.dirty_pages();
+  run.hdd_reads = rig.hdd.reads;
+  run.hdd_writes = rig.hdd.writes;
+  run.hdd_prefetches = rig.hdd.prefetches;
+  return run;
+}
+
+TEST(HybridDeviceTest, PrefetchForwardsToTheBulkTierAndChangesNothing) {
+  Rig rig;
+  rig.tier.prefetch();
+  EXPECT_EQ(rig.hdd.prefetches, 1u);
+  rig.tier.prefetch();
+  EXPECT_EQ(rig.hdd.prefetches, 2u);
+
+  const ScriptRun plain = run_script(false);
+  const ScriptRun hinted = run_script(true);
+  // The script visits every mode and ends back in kNormal.
+  ASSERT_GE(plain.stats.mode_changes, 3u);
+  ASSERT_GT(plain.stats.drained_pages, 0u);
+  ASSERT_EQ(plain.mode, TierMode::kNormal);
+  EXPECT_EQ(plain.hdd_prefetches, 0u);
+  EXPECT_EQ(hinted.hdd_prefetches, hinted.ops.size());
+
+  EXPECT_EQ(hinted.ops, plain.ops);
+  EXPECT_EQ(hinted.mode, plain.mode);
+  EXPECT_EQ(hinted.dirty, plain.dirty);
+  EXPECT_EQ(hinted.hdd_reads, plain.hdd_reads);
+  EXPECT_EQ(hinted.hdd_writes, plain.hdd_writes);
+  EXPECT_EQ(hinted.stats.hdd_reads, plain.stats.hdd_reads);
+  EXPECT_EQ(hinted.stats.flash_reads, plain.stats.flash_reads);
+  EXPECT_EQ(hinted.stats.absorbed_errors, plain.stats.absorbed_errors);
+  EXPECT_EQ(hinted.stats.flash_only_ops, plain.stats.flash_only_ops);
+  EXPECT_EQ(hinted.stats.probes, plain.stats.probes);
+  EXPECT_EQ(hinted.stats.drained_pages, plain.stats.drained_pages);
+  EXPECT_EQ(hinted.stats.mode_changes, plain.stats.mode_changes);
 }
 
 }  // namespace

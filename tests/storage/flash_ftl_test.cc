@@ -2,11 +2,13 @@
 // read-modify-write, garbage collection under pressure, TRIM, the
 // wear-leveling distribution property — hot traffic must spread erases
 // across the whole device, keeping the max-min wear spread bounded —
-// and the open-block property: GC relocation never leaks a block.
+// the open-block property: GC relocation never leaks a block — and
+// multi-page commands at any offset against a flat shadow.
 #include "storage/flash/ftl.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/rng.h"
@@ -251,6 +253,58 @@ TEST(FtlTest, RandomOverwritesNeverLeakAnOpenBlock) {
       EXPECT_LT(ftl.stats().gc_runs, static_cast<std::uint64_t>(kWrites));
       EXPECT_EQ(flash.stats().discipline_errors, 0u);
     }
+  }
+}
+
+// Multi-page commands against a flat shadow of the logical space. Each
+// write covers one to three pages' worth of sectors at any sector
+// offset, so one command can hold a sub-page head, whole pages and a
+// sub-page tail; reads of the same shapes are mixed in. Random writes
+// over the whole logical space leave live pages in every GC victim, so
+// relocation runs in the middle of host commands. Every read must
+// equal the shadow, and the NAND model must see no discipline error.
+TEST(FtlTest, MatchesAFlatShadowUnderGc) {
+  constexpr int kOps = 4000;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    FlashDevice flash(small_config());
+    Ftl ftl(flash, small_ftl());
+    const std::uint32_t psec = small_config().page_sectors;
+    const std::uint64_t sectors = ftl.total_sectors();
+    std::vector<std::byte> shadow(sectors * kBlockSectorSize,
+                                  std::byte{0xFF});
+    std::vector<std::byte> buf(3 * psec * kBlockSectorSize);
+    sim::Rng rng(seed);
+    SimTime now = SimTime::zero();
+    for (int i = 0; i < kOps; ++i) {
+      const auto count =
+          static_cast<std::uint32_t>(rng.uniform_int(psec, 3 * psec));
+      const auto lba = static_cast<std::uint64_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(sectors - count)));
+      const std::span<std::byte> io(buf.data(), count * kBlockSectorSize);
+      const auto at = shadow.begin() +
+                      static_cast<std::ptrdiff_t>(lba * kBlockSectorSize);
+      if (rng.bernoulli(0.3)) {
+        const BlockIo r = ftl.read(now, lba, count, io);
+        ASSERT_TRUE(r.ok()) << "read " << i;
+        now = r.complete;
+        ASSERT_TRUE(std::equal(io.begin(), io.end(), at))
+            << "op " << i << ": read " << count << " sectors at " << lba;
+        continue;
+      }
+      for (std::byte& b : io) b = static_cast<std::byte>(rng.next_u64());
+      const BlockIo w = ftl.write(now, lba, count, io);
+      ASSERT_TRUE(w.ok()) << "write " << i;
+      now = w.complete;
+      std::copy(io.begin(), io.end(), at);
+    }
+    EXPECT_GT(ftl.stats().relocated_pages, 0u)
+        << "workload never exercised live-page relocation";
+    std::vector<std::byte> all(shadow.size());
+    ASSERT_TRUE(ftl.read(now, 0, static_cast<std::uint32_t>(sectors), all)
+                    .ok());
+    EXPECT_EQ(all, shadow);
+    EXPECT_EQ(flash.stats().discipline_errors, 0u);
   }
 }
 
