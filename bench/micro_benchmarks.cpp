@@ -5,12 +5,14 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "acoustics/absorption.h"
 #include "cluster/engine.h"
 #include "cluster/hybrid.h"
 #include "cluster/node.h"
+#include "cluster/overload_experiment.h"
 #include "cluster/traffic.h"
 #include "core/attack.h"
 #include "core/scenario.h"
@@ -495,27 +497,36 @@ BENCHMARK(BM_PlacementReplicas)
     ->Arg(static_cast<int>(cluster::PlacementPolicy::kCrossPod))
     ->Arg(static_cast<int>(cluster::PlacementPolicy::kRackAware));
 
-// One closed-loop round of the overload_1k population: 4,096 clients
+// The closed-loop rounds of the overload_1k population: 4,096 clients
 // per 15 nodes scaled to 1,000 nodes (273,066 clients at 120k req/s,
-// about 2.3 s of think time each). Each iteration harvests the clients
-// due in the next 50 ms epoch, draws their keys, and completes every
-// issue as served 8 ms later, which schedules its next think. Items are
-// client issues, so the rate is the population's own cost per request.
+// about 2.28 s of think time each) with the overload grid's governed
+// backoff. Each iteration harvests the clients due in the next 50 ms
+// epoch, draws their keys, and completes every issue as served 8 ms
+// later, which schedules its next think. Arg(1) collects inline in one
+// partition; Arg(4) collects four partitions on a 4-thread pool, as the
+// engine does at 4 jobs. ns_per_issue is the population's own cost per
+// issued request.
 static void BM_ClosedLoopRound(benchmark::State& state) {
   constexpr std::size_t kClients = 273066;
   static const cluster::ZipfAliasSampler zipf(20000, 0.01);
+  const auto partitions = static_cast<std::size_t>(state.range(0));
   cluster::TrafficConfig traffic;
   traffic.arrival_rate_per_s = 120000.0;
+  std::unique_ptr<sim::TaskPool> pool;
+  if (partitions > 1) {
+    pool = std::make_unique<sim::TaskPool>(static_cast<unsigned>(partitions));
+  }
   cluster::ClosedLoopPopulation population;
-  population.reset(traffic, kClients, cluster::resilience::BackoffConfig{},
-                   nullptr, sim::SimTime::zero());
+  population.reset(traffic, kClients,
+                   cluster::overload_experiment_config().governed_backoff,
+                   nullptr, sim::SimTime::zero(), partitions);
   std::vector<cluster::ClientIssue> due;
   sim::SimTime horizon = sim::SimTime::zero();
   std::int64_t issues = 0;
   for (auto _ : state) {
     horizon = horizon + sim::Duration::from_millis(50.0);
     due.clear();
-    population.collect_due(horizon, zipf, due);
+    population.collect_due(horizon, zipf, due, pool.get());
     benchmark::DoNotOptimize(due.data());
     for (const cluster::ClientIssue& issue : due) {
       population.complete(issue.client,
@@ -525,8 +536,11 @@ static void BM_ClosedLoopRound(benchmark::State& state) {
     issues += static_cast<std::int64_t>(due.size());
   }
   state.SetItemsProcessed(issues);
+  state.counters["ns_per_issue"] = benchmark::Counter(
+      static_cast<double>(issues) * 1e-9,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_ClosedLoopRound);
+BENCHMARK(BM_ClosedLoopRound)->Arg(1)->Arg(4)->UseRealTime();
 
 // One availability_10k epoch of key draws: 2,000 keys (40k req/s for
 // 50 ms) from the 1M-key theta 0.99 table, 12 MB that miss cache on

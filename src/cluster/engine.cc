@@ -22,6 +22,18 @@ std::uint8_t health_rank(NodeHealth health) {
   return health == NodeHealth::kDrained ? kDrainedRank : 0;
 }
 
+/// Resize a request array to `n`, growing its capacity in doublings as
+/// push_back would; the new elements stay unwritten.
+template <class Vector>
+void grow_to(Vector& v, std::size_t n) {
+  if (n > v.capacity()) {
+    std::size_t capacity = std::max<std::size_t>(v.capacity(), 1);
+    while (capacity < n) capacity *= 2;
+    v.reserve(capacity);
+  }
+  v.resize(n);
+}
+
 }  // namespace
 
 ShardedClusterEngine::ShardedClusterEngine(
@@ -146,6 +158,21 @@ ShardedClusterEngine::ShardedClusterEngine(
     shard_used_.resize(shard_count_);
     shard_qwait_.resize(shard_count_);
     shard_service_.resize(shard_count_);
+    if (config_.serving.closed_loop && pool_ &&
+        config_.serving.clients >= config_.min_ops_to_shard) {
+      // The population collects in one partition per job (start_run);
+      // its big rounds route in as many chunks.
+      chunks_.resize(pool_->jobs());
+      for (RouteChunk& chunk : chunks_) {
+        chunk.replicas.reserve(config_.balancer.replication);
+        chunk.shard_begin.resize(shard_count_ + 1);
+        chunk.node_legs.assign(n, 0);
+      }
+      // The gathers fill these on the pool: size them here.
+      for (auto& active : shard_active_) active.reserve(nodes_per_shard_);
+      shard_gather_depth_.assign(shard_count_, 0);
+      route_fn_ = [this](std::size_t chunk) { route_chunk(chunk); };
+    }
   }
 }
 
@@ -176,8 +203,11 @@ void ShardedClusterEngine::start_run(sim::SimTime start, SloTracker& slo,
   stats_ = {};
   traffic_ = {};
   max_node_depth_ = 0;
+  partitioned_rounds_ = 0;
+  chunked_rounds_ = 0;
   op_seq_ = 0;
   ops_emitted_ = 0;
+  gather_pending_ = false;
 
   const std::size_t n = devices_.size();
   detectors_.assign(n, core::AttackDetector(config_.detector));
@@ -245,7 +275,7 @@ void ShardedClusterEngine::start_run(sim::SimTime start, SloTracker& slo,
                      config_.serving.backoff,
                      config_.serving.retry_budget.enabled ? &retry_budget_
                                                           : nullptr,
-                     start);
+                     start, chunks_.empty() ? 1 : chunks_.size());
     }
   }
   running_ = true;
@@ -273,12 +303,26 @@ bool ShardedClusterEngine::step() {
     // request, run it to completion, and let the completions schedule
     // the follow-ups (think gaps, retry backoffs) — which may land
     // before the barrier and start another round. Round boundaries are
-    // global, so results stay byte-identical at any shard count.
+    // global, so results stay byte-identical at any shard count. A big
+    // population collects on the pool, partition by partition, and its
+    // big rounds route there too, chunk by chunk.
     std::size_t round_lo = 0;
     for (;;) {
       issue_scratch_.clear();
-      clients_.collect_due(t1, *zipf_, issue_scratch_);
-      if (issue_scratch_.empty()) break;
+      if (chunks_.empty()) {
+        clients_.collect_due(t1, *zipf_, issue_scratch_);
+        if (issue_scratch_.empty()) break;
+      } else {
+        const std::size_t issues =
+            clients_.collect_runs(t1, *zipf_, pool_.get());
+        if (issues == 0) break;
+        ++partitioned_rounds_;
+        if (issues >= config_.min_ops_to_shard) {
+          route_round(round_lo, issues);
+        } else {
+          clients_.merge_runs(issue_scratch_);
+        }
+      }
       for (const ClientIssue& issue : issue_scratch_) {
         const std::uint32_t r =
             push_request(issue.at, issue.key, issue.is_read);
@@ -323,6 +367,8 @@ EngineReport ShardedClusterEngine::finish() {
   report.traffic = traffic_;
   report.stats = stats_;
   report.max_node_depth = max_node_depth_;
+  report.partitioned_rounds = partitioned_rounds_;
+  report.chunked_rounds = chunked_rounds_;
   if (serving()) {
     ServingReport& s = report.serving;
     // Shard index order for determinism; untouched servers are all-zero.
@@ -466,13 +512,27 @@ void ShardedClusterEngine::generate_and_route(sim::SimTime t1) {
   }
 }
 
+template <class Sink>
+void ShardedClusterEngine::route(Sink& sink, std::uint32_t r,
+                                 std::uint64_t key, bool is_read) {
+  ++sink.traffic.requests;
+  placement_.replicas(key, sink.replicas);
+  sink.earn();
+  if (is_read) {
+    ++sink.traffic.reads;
+    route_read(sink, r);
+  } else {
+    ++sink.traffic.writes;
+    route_write(sink, r);
+  }
+}
+
 std::uint32_t ShardedClusterEngine::push_request(sim::SimTime arrival,
                                                 std::uint64_t key,
                                                 bool is_read) {
   const auto r = static_cast<std::uint32_t>(req_arrival_.size());
   req_arrival_.push_back(arrival);
-  req_lba_.push_back((mix64(key) % config_.balancer.objects) *
-                     config_.balancer.object_sectors);
+  req_lba_.push_back(lba_of(key));
   req_is_read_.push_back(is_read ? 1 : 0);
   req_hedged_.push_back(0);
   req_ok_.push_back(0);
@@ -482,7 +542,7 @@ std::uint32_t ShardedClusterEngine::push_request(sim::SimTime arrival,
   req_next_cand_.push_back(0);
   req_ncand_.push_back(0);
   req_nlegs_.push_back(0);
-  req_cand_.resize(req_cand_.size() + leg_stride_);
+  req_cand_.resize(req_cand_.size() + leg_stride_, 0);
   leg_ok_.resize(leg_ok_.size() + leg_stride_, 0);
   leg_complete_.resize(leg_complete_.size() + leg_stride_,
                        sim::SimTime::zero());
@@ -492,39 +552,32 @@ std::uint32_t ShardedClusterEngine::push_request(sim::SimTime arrival,
     req_hedge_cancel_.push_back(sim::SimTime::infinity());
     leg_outcome_.resize(leg_outcome_.size() + leg_stride_, 0);
   }
-
-  ++traffic_.requests;
-  placement_.replicas(key, replica_scratch_);
-  failover_budget_.earn();
-  if (is_read) {
-    ++traffic_.reads;
-    route_read(r);
-  } else {
-    ++traffic_.writes;
-    route_write(r);
-  }
+  SerialRoute sink{*this, replica_scratch_, stats_, traffic_};
+  route(sink, r, key, is_read);
   return r;
 }
 
-void ShardedClusterEngine::route_read(std::uint32_t r) {
-  ++stats_.reads;
+template <class Sink>
+void ShardedClusterEngine::route_read(Sink& sink, std::uint32_t r) {
+  ++sink.stats.reads;
+  std::vector<NodeId>& replicas = sink.replicas;
   // Stable two-bucket ordering against the epoch-start health
   // snapshot (healthy before drained, an open breaker counting as
   // drained; fail-static — a fully drained set is still attempted).
-  for (std::size_t i = 1; i < replica_scratch_.size(); ++i) {
-    const NodeId id = replica_scratch_[i];
+  for (std::size_t i = 1; i < replicas.size(); ++i) {
+    const NodeId id = replicas[i];
     const std::uint8_t rank = rank_snap_[id];
     std::size_t j = i;
-    while (j > 0 && rank_snap_[replica_scratch_[j - 1]] > rank) {
-      replica_scratch_[j] = replica_scratch_[j - 1];
+    while (j > 0 && rank_snap_[replicas[j - 1]] > rank) {
+      replicas[j] = replicas[j - 1];
       --j;
     }
-    replica_scratch_[j] = id;
+    replicas[j] = id;
   }
   const std::size_t base = static_cast<std::size_t>(r) * leg_stride_;
-  const auto ncand = static_cast<std::uint16_t>(replica_scratch_.size());
-  for (std::size_t i = 0; i < replica_scratch_.size(); ++i) {
-    req_cand_[base + i] = replica_scratch_[i];
+  const auto ncand = static_cast<std::uint16_t>(replicas.size());
+  for (std::size_t i = 0; i < replicas.size(); ++i) {
+    req_cand_[base + i] = replicas[i];
   }
   req_ncand_[r] = ncand;
 
@@ -536,7 +589,7 @@ void ShardedClusterEngine::route_read(std::uint32_t r) {
     hedged = hot_snap_[primary] != 0 && rank_snap_[backup] != kDrainedRank;
   }
   if (hedged) {
-    ++stats_.hedged_reads;
+    ++sink.stats.hedged_reads;
     req_hedged_[r] = 1;
     if (serving()) {
       // Serving mode defers the backup leg to the next wave so its
@@ -545,24 +598,25 @@ void ShardedClusterEngine::route_read(std::uint32_t r) {
       // only the primary; combine_wave0 emits leg 1.
       req_attempts_[r] = 1;
       req_next_cand_[r] = 1;
-      emit(req_cand_[base], kRead, r, 0, arrival);
+      sink.emit(req_cand_[base], kRead, r, 0, arrival);
       return;
     }
     req_attempts_[r] = 2;
     req_next_cand_[r] = 2;
-    emit(req_cand_[base], kRead, r, 0, arrival);
-    emit(req_cand_[base + 1], kRead, r, 1, arrival);
+    sink.emit(req_cand_[base], kRead, r, 0, arrival);
+    sink.emit(req_cand_[base + 1], kRead, r, 1, arrival);
   } else {
     req_attempts_[r] = 1;
     req_next_cand_[r] = 1;
-    emit(req_cand_[base], kRead, r, 0, arrival);
+    sink.emit(req_cand_[base], kRead, r, 0, arrival);
   }
 }
 
-void ShardedClusterEngine::route_write(std::uint32_t r) {
-  ++stats_.writes;
+template <class Sink>
+void ShardedClusterEngine::route_write(Sink& sink, std::uint32_t r) {
+  ++sink.stats.writes;
   std::size_t in_rotation = 0;
-  for (const NodeId id : replica_scratch_) {
+  for (const NodeId id : sink.replicas) {
     if (health_[id] != NodeHealth::kDrained) ++in_rotation;
   }
   // Skip drained replicas only while the in-rotation members can still
@@ -571,11 +625,150 @@ void ShardedClusterEngine::route_write(std::uint32_t r) {
 
   const sim::SimTime arrival = req_arrival_[r];
   std::uint16_t legs = 0;
-  for (const NodeId id : replica_scratch_) {
+  for (const NodeId id : sink.replicas) {
     if (skip_drained && health_[id] == NodeHealth::kDrained) continue;
-    emit(id, kWrite, r, legs++, arrival);
+    sink.emit(id, kWrite, r, legs++, arrival);
   }
   req_nlegs_[r] = legs;
+}
+
+void ShardedClusterEngine::route_round(std::size_t first_req,
+                                       std::size_t issues) {
+  // Size every request array once, writing nothing: each chunk writes
+  // its own requests.
+  const std::size_t nreq = first_req + issues;
+  const std::size_t nlegs = nreq * leg_stride_;
+  grow_to(req_arrival_, nreq);
+  grow_to(req_lba_, nreq);
+  grow_to(req_is_read_, nreq);
+  grow_to(req_hedged_, nreq);
+  grow_to(req_ok_, nreq);
+  grow_to(req_complete_, nreq);
+  grow_to(req_t_, nreq);
+  grow_to(req_attempts_, nreq);
+  grow_to(req_next_cand_, nreq);
+  grow_to(req_ncand_, nreq);
+  grow_to(req_nlegs_, nreq);
+  grow_to(req_cand_, nlegs);
+  grow_to(leg_ok_, nlegs);
+  grow_to(leg_complete_, nlegs);
+  grow_to(req_fail_kind_, nreq);
+  grow_to(req_client_, nreq);
+  grow_to(req_hedge_cancel_, nreq);
+  grow_to(leg_outcome_, nlegs);
+  round_first_ = first_req;
+  // Each chunk merges one slice of the round; a request emits at most
+  // leg_stride_ wave-0 legs.
+  clients_.split_runs(chunks_.size());
+  for (std::size_t c = 0; c < chunks_.size(); ++c) {
+    const std::size_t most_legs =
+        (clients_.slice_begin(c + 1) - clients_.slice_begin(c)) * leg_stride_;
+    chunks_[c].legs.reserve(most_legs);
+    chunks_[c].by_shard.reserve(most_legs);
+  }
+  pool_->run_indexed(chunks_.size(), route_fn_);
+  // Chunk order is request order: each chunk's legs take the seqs serial
+  // routing would give them, and its counts and earns land as they
+  // would (earns are capped adds, and nothing spends during routing).
+  for (RouteChunk& chunk : chunks_) {
+    const auto legs = static_cast<std::uint32_t>(chunk.legs.size());
+    chunk.seq_base = op_seq_;
+    op_seq_ += legs;
+    ops_emitted_ += legs;
+    traffic_.requests += chunk.traffic.requests;
+    traffic_.reads += chunk.traffic.reads;
+    traffic_.writes += chunk.traffic.writes;
+    stats_.reads += chunk.stats.reads;
+    stats_.writes += chunk.stats.writes;
+    stats_.hedged_reads += chunk.stats.hedged_reads;
+    for (std::uint64_t i = 0; i < chunk.earns; ++i) failover_budget_.earn();
+  }
+  // Make room in the node queues the gathers fill, growing them the way
+  // push_back would but on this thread, so the pool's threads never
+  // allocate them.
+  for (std::size_t node = 0; node < node_ops_.size(); ++node) {
+    std::size_t legs = 0;
+    for (RouteChunk& chunk : chunks_) {
+      legs += chunk.node_legs[node];
+      chunk.node_legs[node] = 0;
+    }
+    std::vector<Op>& ops = node_ops_[node];
+    if (ops.size() + legs > ops.capacity()) {
+      ops.reserve(std::max(ops.size() + legs, 2 * ops.capacity()));
+    }
+  }
+  gather_pending_ = true;
+  ++chunked_rounds_;
+}
+
+void ShardedClusterEngine::route_chunk(std::size_t c) {
+  RouteChunk& chunk = chunks_[c];
+  chunk.stats = {};
+  chunk.traffic = {};
+  chunk.earns = 0;
+  chunk.legs.clear();
+  clients_.merge_slice(c, [&](const ClientIssue& issue, std::size_t i) {
+    // The fresh request's state, as push_request writes it.
+    const auto r = static_cast<std::uint32_t>(round_first_ + i);
+    req_arrival_[r] = issue.at;
+    req_lba_[r] = lba_of(issue.key);
+    req_is_read_[r] = issue.is_read ? 1 : 0;
+    req_hedged_[r] = 0;
+    req_ok_[r] = 0;
+    req_complete_[r] = issue.at;
+    req_t_[r] = issue.at;
+    req_attempts_[r] = 0;
+    req_next_cand_[r] = 0;
+    req_ncand_[r] = 0;
+    req_nlegs_[r] = 0;
+    req_fail_kind_[r] = 0;
+    req_client_[r] = issue.client;
+    req_hedge_cancel_[r] = sim::SimTime::infinity();
+    const std::size_t base = static_cast<std::size_t>(r) * leg_stride_;
+    for (std::size_t slot = base; slot < base + leg_stride_; ++slot) {
+      req_cand_[slot] = 0;
+      leg_ok_[slot] = 0;
+      leg_complete_[slot] = sim::SimTime::zero();
+      leg_outcome_[slot] = 0;
+    }
+    route(chunk, r, issue.key, issue.is_read);
+  });
+  // Group the legs by shard (a counting sort, so each shard's legs keep
+  // their emission order).
+  std::vector<std::uint32_t>& begin = chunk.shard_begin;
+  std::fill(begin.begin(), begin.end(), 0);
+  for (const RouteChunk::Leg& leg : chunk.legs) {
+    ++begin[node_shard_[leg.node] + 1];
+  }
+  for (std::size_t s = 0; s < shard_count_; ++s) begin[s + 1] += begin[s];
+  chunk.by_shard.resize(chunk.legs.size());
+  for (std::uint32_t i = 0; i < chunk.legs.size(); ++i) {
+    chunk.by_shard[begin[node_shard_[chunk.legs[i].node]]++] = i;
+  }
+  // The scatter moved each shard's start to the next one's: shift back.
+  for (std::size_t s = shard_count_; s > 0; --s) begin[s] = begin[s - 1];
+  begin[0] = 0;
+}
+
+void ShardedClusterEngine::gather_routed(std::size_t shard) {
+  // Chunk by chunk, each in emission order: every node queue, the
+  // shard's first-emission order and every depth come out as serial
+  // routing leaves them.
+  std::vector<NodeId>& active = shard_active_[shard];
+  std::uint32_t deepest = 0;
+  for (const RouteChunk& chunk : chunks_) {
+    for (std::uint32_t i = chunk.shard_begin[shard];
+         i < chunk.shard_begin[shard + 1]; ++i) {
+      const std::uint32_t seq = chunk.by_shard[i];
+      const RouteChunk::Leg& leg = chunk.legs[seq];
+      std::vector<Op>& ops = node_ops_[leg.node];
+      if (ops.empty()) active.push_back(leg.node);
+      ops.push_back(Op{req_arrival_[leg.req], chunk.seq_base + seq, leg.req,
+                       leg.leg, leg.kind});
+      deepest = std::max(deepest, ++node_depth_[leg.node]);
+    }
+  }
+  shard_gather_depth_[shard] = deepest;
 }
 
 void ShardedClusterEngine::execute_wave() {
@@ -588,6 +781,12 @@ void ShardedClusterEngine::execute_wave() {
     frontier_ = sim::max(frontier_, f);
   }
   ops_emitted_ = 0;
+  if (gather_pending_) {
+    gather_pending_ = false;
+    for (const std::uint32_t depth : shard_gather_depth_) {
+      max_node_depth_ = std::max<std::uint64_t>(max_node_depth_, depth);
+    }
+  }
 }
 
 void ShardedClusterEngine::execute_nodes(std::size_t shard_lo,
@@ -601,6 +800,9 @@ void ShardedClusterEngine::execute_nodes(std::size_t shard_lo,
   const std::size_t probe_bytes =
       static_cast<std::size_t>(config_.balancer.probe_sectors) *
       storage::kBlockSectorSize;
+  if (gather_pending_) {
+    for (std::size_t s = shard_lo; s < shard_hi; ++s) gather_routed(s);
+  }
 
   // Only nodes this wave actually touched: at 10k nodes a closed-loop
   // round emits to a handful of them, and a full-range scan would cost

@@ -45,6 +45,13 @@
 //    work is. A wave prefetches the device, detector and (serving)
 //    server of the nodes a few places ahead on its walk, so their cold
 //    misses overlap too.
+//  * A closed-loop round's client work and routing run on the same
+//    pool once the population reaches min_ops_to_shard clients: each
+//    job's partition of the clients collects its due issues, and each
+//    job's chunk of a big round merges its slice of them and routes it
+//    into its own leg buffers, which the round's first wave gathers
+//    shard by shard. Every count, sequence number and budget earn
+//    lands as serial routing would leave it.
 //
 // Serving mode (EngineConfig::serving.enabled) swaps the per-node op
 // execution from immediate dispatch to a NodeServer pipeline: every
@@ -67,6 +74,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "cluster/node.h"
@@ -208,12 +218,16 @@ struct EngineConfig {
   /// always land exactly on a boundary (epochs are clamped to pending
   /// action times).
   sim::Duration epoch = sim::Duration::from_millis(50.0);
-  /// Worker threads for wave execution. 0 = $DEEPNOTE_JOBS / all cores,
-  /// 1 = fully inline (no pool). Results are identical at any value.
+  /// Worker threads for waves and closed-loop rounds. 0 =
+  /// $DEEPNOTE_JOBS / all cores, 1 = fully inline (no pool). Results are
+  /// identical at any value.
   unsigned jobs = 1;
   /// Waves smaller than this run inline even when a pool exists: at
   /// small grids the barrier costs more than the work. 0 forces
-  /// sharding (used by the cross-thread determinism tests).
+  /// sharding (used by the cross-thread determinism tests). The same
+  /// gate, applied to the client count, decides whether a closed-loop
+  /// population collects on the pool, and applied to a round's issue
+  /// count, whether the round is routed there.
   std::size_t min_ops_to_shard = 2048;
   /// Optional pre-built alias table shared across runs (the 1M-key
   /// table costs one O(n) build; benches reuse it between iterations).
@@ -234,6 +248,11 @@ struct EngineReport {
   std::uint64_t max_node_depth = 0;
   /// Populated only in serving mode.
   ServingReport serving;
+  /// Host-side execution counts, not results: closed-loop rounds whose
+  /// clients collected in partitions on the pool, and rounds routed in
+  /// chunks there. They depend on the job count and min_ops_to_shard.
+  std::uint64_t partitioned_rounds = 0;
+  std::uint64_t chunked_rounds = 0;
 };
 
 class ShardedClusterEngine {
@@ -321,6 +340,59 @@ class ShardedClusterEngine {
     std::uint16_t leg;   ///< completion slot within the request
     std::uint8_t kind;   ///< kRead / kWrite / kProbe
   };
+
+  /// Serial routing's sink: legs go straight into the node queues and
+  /// counts into the run's totals.
+  struct SerialRoute {
+    ShardedClusterEngine& engine;
+    std::vector<NodeId>& replicas;
+    BalancerStats& stats;
+    TrafficReport& traffic;
+    void earn() { engine.failover_budget_.earn(); }
+    void emit(NodeId node, std::uint8_t kind, std::uint32_t req,
+              std::uint16_t leg, sim::SimTime issue) {
+      engine.emit(node, kind, req, leg, issue);
+    }
+  };
+
+  /// One contiguous slice of a closed-loop round routed on the pool: its
+  /// own replica scratch and counts, and its legs in emission order.
+  /// route_round folds the counts in and gives the chunk the op_seq_ of
+  /// its first leg, chunk by chunk, and each shard gathers its legs at
+  /// the start of the round's first wave, so the node queues end up as
+  /// serial routing would leave them. The leg buffers are sized on the
+  /// calling thread before the chunks run, and the node queues after
+  /// (from `node_legs`), so the pool's threads allocate neither: memory a
+  /// pool thread allocates lands in its own malloc arena, which would
+  /// raise the process's footprint. Aligned to a cache line:
+  /// neighbouring chunks route on different threads.
+  struct alignas(64) RouteChunk {
+    /// A wave-0 leg: it issues at its request's arrival, and its index
+    /// in `legs` is its seq within the chunk.
+    struct Leg {
+      std::uint32_t req;
+      NodeId node;
+      std::uint16_t leg;
+      std::uint8_t kind;
+    };
+    std::vector<NodeId> replicas;
+    BalancerStats stats;
+    TrafficReport traffic;
+    std::uint64_t earns = 0;     ///< failover-budget earns, not yet applied
+    std::uint32_t seq_base = 0;  ///< op_seq_ of the chunk's first leg
+    std::vector<Leg> legs;
+    /// Indices into `legs` grouped by shard, each group in emission
+    /// order: shard s's are by_shard[shard_begin[s], shard_begin[s + 1]).
+    std::vector<std::uint32_t> by_shard;
+    std::vector<std::uint32_t> shard_begin;
+    std::vector<std::uint32_t> node_legs;  ///< per node; zeroed after use
+    void earn() { ++earns; }
+    void emit(NodeId node, std::uint8_t kind, std::uint32_t req,
+              std::uint16_t leg, sim::SimTime /*the arrival*/) {
+      legs.push_back(Leg{req, node, leg, kind});
+      ++node_legs[node];
+    }
+  };
   static constexpr std::uint8_t kRead = 0;
   static constexpr std::uint8_t kWrite = 1;
   static constexpr std::uint8_t kProbe = 2;
@@ -335,10 +407,27 @@ class ShardedClusterEngine {
   void generate_and_route(sim::SimTime t1);
   std::uint32_t push_request(sim::SimTime arrival, std::uint64_t key,
                              bool is_read);
-  void route_read(std::uint32_t r);
-  void route_write(std::uint32_t r);
+  std::uint64_t lba_of(std::uint64_t key) const {
+    return (mix64(key) % config_.balancer.objects) *
+           config_.balancer.object_sectors;
+  }
+  /// Count request `r`, look up its replicas and emit its wave-0 legs
+  /// into `sink` (a SerialRoute or a RouteChunk).
+  template <class Sink>
+  void route(Sink& sink, std::uint32_t r, std::uint64_t key, bool is_read);
+  template <class Sink>
+  void route_read(Sink& sink, std::uint32_t r);
+  template <class Sink>
+  void route_write(Sink& sink, std::uint32_t r);
   void emit(NodeId node, std::uint8_t kind, std::uint32_t req,
             std::uint16_t leg, sim::SimTime issue);
+  /// Route the closed-loop round the population just collected,
+  /// `issues` requests numbered from `first_req`, in chunks on the pool:
+  /// each chunk merges and routes one slice of it.
+  void route_round(std::size_t first_req, std::size_t issues);
+  void route_chunk(std::size_t chunk);
+  /// Move the routed chunks' legs for `shard` into its node queues.
+  void gather_routed(std::size_t shard);
 
   void execute_wave();
   void execute_nodes(std::size_t shard_lo, std::size_t shard_hi,
@@ -379,6 +468,7 @@ class ShardedClusterEngine {
   std::size_t nodes_per_shard_;
   std::unique_ptr<sim::TaskPool> pool_;
   std::function<void(std::size_t)> wave_fn_;  ///< built once; no per-wave alloc
+  std::function<void(std::size_t)> route_fn_;  ///< likewise, per round
 
   // --- per-node SoA state (indexed by NodeId) ---------------------------
   std::vector<core::AttackDetector> detectors_;
@@ -420,27 +510,54 @@ class ShardedClusterEngine {
   std::vector<NodeId> chaos_touched_list_;  ///< O(touched) reset at start_run
 
   // --- per-epoch request/completion arenas (reused, never shrunk) -------
-  std::vector<sim::SimTime> req_arrival_;
-  std::vector<std::uint64_t> req_lba_;
-  std::vector<std::uint8_t> req_is_read_;
-  std::vector<std::uint8_t> req_hedged_;
-  std::vector<std::uint8_t> req_ok_;
-  std::vector<sim::SimTime> req_complete_;
-  std::vector<sim::SimTime> req_t_;  ///< failure-path time cursor
-  std::vector<std::uint32_t> req_attempts_;
-  std::vector<std::uint16_t> req_next_cand_;
-  std::vector<std::uint16_t> req_ncand_;   ///< ranked candidates (reads)
-  std::vector<std::uint16_t> req_nlegs_;   ///< emitted legs (writes)
-  std::vector<NodeId> req_cand_;           ///< leg_stride_ per request
-  std::vector<std::uint8_t> req_fail_kind_;  ///< OutcomeKind; serving mode
-  std::vector<std::uint32_t> req_client_;    ///< closed-loop issuer
+  /// std::allocator, except that a vector's resize(n) leaves the new
+  /// elements unwritten; they must be trivially copyable and
+  /// destructible. Closed-loop routing sizes the request arrays in one
+  /// step and lets each routing chunk write its own requests on the
+  /// pool: a zero fill first would pull every line of them through the
+  /// calling thread's cache.
+  template <class T>
+  struct UninitAllocator : std::allocator<T> {
+    template <class U>
+    struct rebind {
+      using other = UninitAllocator<U>;
+    };
+    UninitAllocator() = default;
+    template <class U>
+    UninitAllocator(const UninitAllocator<U>&) noexcept {}
+    template <class U>
+    void construct(U*) noexcept {
+      static_assert(std::is_trivially_copyable_v<U> &&
+                    std::is_trivially_destructible_v<U>);
+    }
+    template <class U, class... Args>
+    void construct(U* p, Args&&... args) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  };
+  template <class T>
+  using Requests = std::vector<T, UninitAllocator<T>>;
+  Requests<sim::SimTime> req_arrival_;
+  Requests<std::uint64_t> req_lba_;
+  Requests<std::uint8_t> req_is_read_;
+  Requests<std::uint8_t> req_hedged_;
+  Requests<std::uint8_t> req_ok_;
+  Requests<sim::SimTime> req_complete_;
+  Requests<sim::SimTime> req_t_;  ///< failure-path time cursor
+  Requests<std::uint32_t> req_attempts_;
+  Requests<std::uint16_t> req_next_cand_;
+  Requests<std::uint16_t> req_ncand_;   ///< ranked candidates (reads)
+  Requests<std::uint16_t> req_nlegs_;   ///< emitted legs (writes)
+  Requests<NodeId> req_cand_;           ///< leg_stride_ per request
+  Requests<std::uint8_t> req_fail_kind_;  ///< OutcomeKind; serving mode
+  Requests<std::uint32_t> req_client_;    ///< closed-loop issuer
   /// Serving hedges: the backup leg's cancel time (the primary's win
   /// instant, or infinity when the primary lost). Written by
   /// combine_wave0, read by execute_nodes when submitting leg 1.
-  std::vector<sim::SimTime> req_hedge_cancel_;
-  std::vector<std::uint8_t> leg_ok_;       ///< leg_stride_ per request
-  std::vector<sim::SimTime> leg_complete_;
-  std::vector<std::uint8_t> leg_outcome_;  ///< OutcomeKind; serving mode
+  Requests<sim::SimTime> req_hedge_cancel_;
+  Requests<std::uint8_t> leg_ok_;       ///< leg_stride_ per request
+  Requests<sim::SimTime> leg_complete_;
+  Requests<std::uint8_t> leg_outcome_;  ///< OutcomeKind; serving mode
   std::vector<NodeId> probe_node_;
   std::vector<sim::SimTime> probe_issue_;
   std::vector<sim::SimTime> probe_complete_;
@@ -453,6 +570,15 @@ class ShardedClusterEngine {
   std::vector<std::vector<std::byte>> shard_read_buf_;  ///< one per shard
   std::vector<std::byte> write_buf_;
   std::vector<sim::SimTime> shard_frontier_;
+  /// Closed-loop rounds routed on the pool (empty unless the population
+  /// collects there too): one chunk per job.
+  std::vector<RouteChunk> chunks_;
+  std::size_t round_first_ = 0;  ///< the routed round's first request
+  /// The next wave starts by gathering the chunks' legs.
+  bool gather_pending_ = false;
+  /// Each shard's deepest node queue after a gather, owner-exclusive,
+  /// folded into max_node_depth_ after the wave.
+  std::vector<std::uint32_t> shard_gather_depth_;
 
   // --- run state --------------------------------------------------------
   bool running_ = false;
@@ -479,6 +605,8 @@ class ShardedClusterEngine {
   BalancerStats stats_;
   TrafficReport traffic_;
   std::uint64_t max_node_depth_ = 0;
+  std::uint64_t partitioned_rounds_ = 0;
+  std::uint64_t chunked_rounds_ = 0;
 
   // --- serving-mode run state -------------------------------------------
   ClosedLoopPopulation clients_;

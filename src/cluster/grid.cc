@@ -151,6 +151,8 @@ CellResult run_cell(const CellSpec& spec) {
   result.p999_ms = slo.p999().millis();
   result.read_failovers = report.stats.read_failovers;
   result.drains = report.stats.drains;
+  result.partitioned_rounds = report.partitioned_rounds;
+  result.chunked_rounds = report.chunked_rounds;
 
   const ServingReport& serving = report.serving;
   result.queue_wait_p99_ms = serving.queue_wait_p99_ms;

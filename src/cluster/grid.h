@@ -118,6 +118,11 @@ struct CellResult {
   std::uint64_t max_open_blocks = 0;   ///< most open FTL blocks on a node
   /// Worst SMART 177 (media wearout) normalized value across the fleet.
   int media_wearout = 100;
+
+  /// The engine's host-side execution counts (EngineReport): they vary
+  /// with the job count, so no table reads them.
+  std::uint64_t partitioned_rounds = 0;
+  std::uint64_t chunked_rounds = 0;
 };
 
 /// Post-attack SLO windows at or above this end the recovery clock;

@@ -8,6 +8,16 @@
 
 namespace deepnote::cluster {
 
+namespace {
+
+/// A round's issue order. A client has at most one pending issue, so
+/// (at, client) pairs are unique.
+constexpr auto issue_before = [](const ClientIssue& a, const ClientIssue& b) {
+  return a.at == b.at ? a.client < b.client : a.at < b.at;
+};
+
+}  // namespace
+
 ZipfAliasSampler::ZipfAliasSampler(std::uint64_t n, double theta)
     : n_(n), theta_(theta) {
   if (n_ == 0) throw std::invalid_argument("zipf: empty keyspace");
@@ -143,11 +153,12 @@ std::int64_t IssueCalendar::next_occupied(std::int64_t from,
   return to;
 }
 
-void IssueCalendar::harvest(sim::SimTime limit, std::vector<Entry>& out) {
+template <class Record>
+void IssueCalendar::harvest(sim::SimTime limit, std::vector<Record>& out) {
   // The clock is monotone, as the wheel's is: an earlier limit harvests
   // at the previous one.
   if (limit.ns() > now_ns_) now_ns_ = limit.ns();
-  out.insert(out.end(), overdue_.begin(), overdue_.end());
+  for (const Entry& e : overdue_) out.push_back(Record{e.at, e.id});
   overdue_.clear();
   // Every bucket below the limit's tick is due in full. The cursor
   // stops at each half-window mark to slide.
@@ -160,7 +171,7 @@ void IssueCalendar::harvest(sim::SimTime limit, std::vector<Entry>& out) {
       std::uint32_t n = head_[slot];
       while (n != kNil) {
         Node& node = pool_[n];
-        out.push_back(Entry{sim::SimTime{node.at_ns}, node.id});
+        out.push_back(Record{sim::SimTime{node.at_ns}, node.id});
         const std::uint32_t next = node.next;
         node.next = free_;
         free_ = n;
@@ -181,7 +192,7 @@ void IssueCalendar::harvest(sim::SimTime limit, std::vector<Entry>& out) {
     Node& node = pool_[n];
     const std::uint32_t next = node.next;
     if (node.at_ns <= now_ns_) {
-      out.push_back(Entry{sim::SimTime{node.at_ns}, node.id});
+      out.push_back(Record{sim::SimTime{node.at_ns}, node.id});
       node.next = free_;
       free_ = n;
     } else {
@@ -195,11 +206,14 @@ void IssueCalendar::harvest(sim::SimTime limit, std::vector<Entry>& out) {
   }
 }
 
+template void IssueCalendar::harvest(sim::SimTime, std::vector<Entry>&);
+template void IssueCalendar::harvest(sim::SimTime, std::vector<ClientIssue>&);
+
 void ClosedLoopPopulation::reset(const TrafficConfig& traffic,
                                  std::size_t clients,
                                  const resilience::BackoffConfig& backoff,
                                  resilience::RetryBudget* budget,
-                                 sim::SimTime start) {
+                                 sim::SimTime start, std::size_t partitions) {
   if (clients == 0) {
     throw std::invalid_argument("closed loop: needs at least one client");
   }
@@ -221,61 +235,157 @@ void ClosedLoopPopulation::reset(const TrafficConfig& traffic,
   budget_ = budget;
   retries_ = 0;
   clients_.assign(clients, Client{});
-  // A client has at most one pending issue.
-  calendar_.reset(start, clients);
+  // Equal ranges, so the last one holds the remainder and no range is
+  // empty: ceil(clients / size) of them.
+  const std::size_t wanted =
+      std::clamp<std::size_t>(partitions, 1, std::min<std::size_t>(
+                                                 clients, std::size_t{1} << 16));
+  const std::size_t size = (clients + wanted - 1) / wanted;
+  parts_.resize((clients + size - 1) / size);
   sim::Rng master(traffic.seed);
-  for (std::uint32_t i = 0; i < clients_.size(); ++i) {
-    Client& c = clients_[i];
-    c.rng = master.fork();
-    // Jitter draws must not consume the key stream: fork a private
-    // splitmix64 state per client off the traffic seed.
-    c.jitter_state =
-        traffic.seed ^ (0x9e3779b97f4a7c15ull * (std::uint64_t{i} + 1));
-    calendar_.schedule(start + sim::Duration::from_seconds(
-                                   c.rng.exponential(think_mean_s_)),
-                       i);
+  for (std::size_t p = 0; p < parts_.size(); ++p) {
+    Partition& part = parts_[p];
+    const std::size_t lo = p * size;
+    const std::size_t hi = std::min(clients, lo + size);
+    // A client has at most one pending issue.
+    part.calendar.reset(start, hi - lo);
+    part.run.clear();
+    part.earns = 0;
+    for (std::size_t i = lo; i < hi; ++i) {
+      Client& c = clients_[i];
+      c.rng = master.fork();
+      // Jitter draws must not consume the key stream: fork a private
+      // splitmix64 state per client off the traffic seed.
+      c.jitter_state =
+          traffic.seed ^ (0x9e3779b97f4a7c15ull * (std::uint64_t{i} + 1));
+      c.part = static_cast<std::uint16_t>(p);
+      part.calendar.schedule(start + sim::Duration::from_seconds(
+                                         c.rng.exponential(think_mean_s_)),
+                             static_cast<std::uint32_t>(i));
+    }
   }
 }
 
 void ClosedLoopPopulation::collect_due(sim::SimTime horizon,
                                        const ZipfAliasSampler& zipf,
-                                       std::vector<ClientIssue>& out) {
+                                       std::vector<ClientIssue>& out,
+                                       sim::TaskPool* pool) {
+  if (parts_.size() > 1) {
+    collect_runs(horizon, zipf, pool);
+    merge_runs(out);
+    return;
+  }
+  Partition& part = parts_.front();
+  collect_partition(part, horizon, zipf, out);
+  if (budget_ == nullptr) return;
+  for (std::uint64_t i = 0; i < part.earns; ++i) budget_->earn();
+}
+
+std::size_t ClosedLoopPopulation::collect_runs(sim::SimTime horizon,
+                                               const ZipfAliasSampler& zipf,
+                                               sim::TaskPool* pool) {
+  round_horizon_ = horizon;
+  round_zipf_ = &zipf;
+  // Captures only `this`, so the std::function holds it without an
+  // allocation.
+  const auto collect = [this](std::size_t p) {
+    Partition& part = parts_[p];
+    part.run.clear();
+    collect_partition(part, round_horizon_, *round_zipf_, part.run);
+  };
+  if (pool != nullptr && parts_.size() > 1) {
+    pool->run_indexed(parts_.size(), collect);
+  } else {
+    for (std::size_t p = 0; p < parts_.size(); ++p) collect(p);
+  }
+  std::size_t issues = 0;
+  for (const Partition& part : parts_) {
+    issues += part.run.size();
+    if (budget_ == nullptr) continue;
+    for (std::uint64_t i = 0; i < part.earns; ++i) budget_->earn();
+  }
+  return issues;
+}
+
+void ClosedLoopPopulation::merge_runs(std::vector<ClientIssue>& out) {
+  split_runs(1);
+  merge_slice(0, [&](const ClientIssue& issue, std::size_t) {
+    out.push_back(issue);
+  });
+}
+
+void ClosedLoopPopulation::split_runs(std::size_t slices) {
+  const std::size_t np = parts_.size();
+  bounds_.resize((slices + 1) * np);
+  slice_begin_.resize(slices + 1);
+  heads_.resize(slices * np);
+  // Cut every run at the same (at, client) keys, taken at even steps
+  // along the longest run: the runs' issues spread alike, so the slices
+  // come out about equal.
+  std::size_t longest = 0;
+  for (std::size_t p = 1; p < np; ++p) {
+    if (parts_[p].run.size() > parts_[longest].run.size()) longest = p;
+  }
+  const std::vector<ClientIssue>& pivots = parts_[longest].run;
+  for (std::size_t s = 0; s <= slices; ++s) {
+    std::size_t begin = 0;
+    for (std::size_t p = 0; p < np; ++p) {
+      const std::vector<ClientIssue>& run = parts_[p].run;
+      std::size_t cut = 0;
+      if (s == slices) {
+        cut = run.size();
+      } else if (s > 0) {
+        const ClientIssue& pivot = pivots[pivots.size() * s / slices];
+        cut = static_cast<std::size_t>(
+            std::lower_bound(run.begin(), run.end(), pivot, issue_before) -
+            run.begin());
+      }
+      bounds_[s * np + p] = static_cast<std::uint32_t>(cut);
+      begin += cut;
+    }
+    slice_begin_[s] = begin;
+  }
+}
+
+void ClosedLoopPopulation::collect_partition(Partition& part,
+                                             sim::SimTime horizon,
+                                             const ZipfAliasSampler& zipf,
+                                             std::vector<ClientIssue>& out) {
   // The calendar hands out at <= limit; collect_due's contract is
   // strictly below the horizon, so harvest to horizon - 1ns.
-  due_.clear();
-  calendar_.harvest(sim::SimTime{horizon.ns() - 1}, due_);
-  // A client has at most one pending issue, so (at, client) pairs are
-  // unique and this order — and every byte downstream — does not depend
-  // on how the calendar laid them out.
-  std::sort(due_.begin(), due_.end(),
-            [](const IssueCalendar::Entry& a, const IssueCalendar::Entry& b) {
-              return a.at == b.at ? a.id < b.id : a.at < b.at;
-            });
+  const std::size_t first = out.size();
+  part.earns = 0;
+  part.calendar.harvest(sim::SimTime{horizon.ns() - 1}, out);
+  // This order, and every byte downstream, does not depend on how the
+  // calendar laid the records out.
+  std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
+            issue_before);
   constexpr std::size_t kAhead = 4;
-  for (std::size_t lo = 0; lo < due_.size(); lo += ZipfAliasSampler::kBatch) {
-    const std::size_t hi =
-        std::min(due_.size(), lo + ZipfAliasSampler::kBatch);
+  constexpr std::size_t kBatch = ZipfAliasSampler::kBatch;
+  for (std::size_t lo = first; lo < out.size(); lo += kBatch) {
+    const std::size_t hi = std::min(out.size(), lo + kBatch);
     // Pass 1: every fresh client in the batch draws its key and read
     // coin, starting the key's table fetch. Drawn against the client's
     // own forked stream, so the order clients are visited in cannot
     // matter.
     for (std::size_t i = lo; i < hi; ++i) {
-      if (i + kAhead < due_.size()) prefetch(due_[i + kAhead].id);
-      Client& c = clients_[due_[i].id];
+      if (i + kAhead < out.size()) prefetch(out[i + kAhead].client);
+      Client& c = clients_[out[i].client];
       if (c.has_retry != 0) continue;
-      draws_[i - lo] = zipf.draw(c.rng);
-      zipf.prefetch(draws_[i - lo].bucket);
+      part.draws[i - lo] = zipf.draw(c.rng);
+      zipf.prefetch(part.draws[i - lo].bucket);
       c.is_read = c.rng.bernoulli(read_fraction_) ? 1 : 0;
       c.attempts = 0;
-      if (budget_ != nullptr) budget_->earn();
+      ++part.earns;
     }
-    // Pass 2: resolve the keys and hand the issues out. A retry re-sends
-    // the key it already holds.
+    // Pass 2: resolve the keys into the issues. A retry re-sends the key
+    // it already holds.
     for (std::size_t i = lo; i < hi; ++i) {
-      const std::uint32_t client = due_[i].id;
-      Client& c = clients_[client];
-      if (c.has_retry == 0) c.key = zipf.resolve(draws_[i - lo]);
-      out.push_back(ClientIssue{due_[i].at, client, c.key, c.is_read != 0});
+      ClientIssue& issue = out[i];
+      Client& c = clients_[issue.client];
+      if (c.has_retry == 0) c.key = zipf.resolve(part.draws[i - lo]);
+      issue.key = c.key;
+      issue.is_read = c.is_read != 0;
       // The client is now in flight: it is scheduled again at complete().
     }
   }
@@ -293,7 +403,7 @@ void ClosedLoopPopulation::complete(std::uint32_t client, sim::SimTime when,
     ++c.attempts;
     ++retries_;
     c.has_retry = 1;
-    calendar_.schedule(
+    parts_[c.part].calendar.schedule(
         when + resilience::backoff_delay(
                    backoff_, c.attempts,
                    resilience::next_jitter_word(c.jitter_state)),
@@ -301,7 +411,7 @@ void ClosedLoopPopulation::complete(std::uint32_t client, sim::SimTime when,
     return;
   }
   c.has_retry = 0;
-  calendar_.schedule(
+  parts_[c.part].calendar.schedule(
       when + sim::Duration::from_seconds(c.rng.exponential(think_mean_s_)),
       client);
 }

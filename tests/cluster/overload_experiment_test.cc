@@ -105,7 +105,9 @@ TEST(OverloadExperiment, GovernanceTelemetryExplainsTheRecovery) {
 
 // One cell, wave-parallel vs inline: the scripted pod attack, the
 // breakers, the budget and the closed-loop retry jitter all land
-// byte-identically regardless of DEEPNOTE_JOBS.
+// byte-identically regardless of DEEPNOTE_JOBS. min_ops_to_shard = 0
+// sends every wave, every population harvest and every round's routing
+// through the pool; jobs 3 gives 12 shards and uneven partitions.
 TEST(OverloadExperiment, CellIsBitIdenticalAcrossEngineJobs) {
   OverloadExperimentConfig narrow = config();
   narrow.policies = {OverloadPolicy::kGoverned};
@@ -113,24 +115,32 @@ TEST(OverloadExperiment, CellIsBitIdenticalAcrossEngineJobs) {
   narrow.attack_durations = {sim::Duration::from_seconds(5.0)};
   CellSpec cell = overload_cells(narrow).front();
   cell.seed = sim::trial_seed(narrow.seed, 7);
+  cell.engine.min_ops_to_shard = 0;
   cell.engine.jobs = 1;
   const CellResult a = run_cell(cell);
-  cell.engine.jobs = 4;
-  const CellResult b = run_cell(cell);
-  EXPECT_EQ(a.requests, b.requests);
-  EXPECT_EQ(a.client_retries, b.client_retries);
-  EXPECT_DOUBLE_EQ(a.attack_availability, b.attack_availability);
-  EXPECT_DOUBLE_EQ(a.post_availability, b.post_availability);
-  EXPECT_DOUBLE_EQ(a.recovery_s, b.recovery_s);
-  EXPECT_EQ(a.recovered, b.recovered);
-  EXPECT_EQ(a.collapsed_windows, b.collapsed_windows);
-  EXPECT_EQ(a.retry_budget_spent, b.retry_budget_spent);
-  EXPECT_EQ(a.retry_budget_denied, b.retry_budget_denied);
-  EXPECT_EQ(a.breaker_opens, b.breaker_opens);
-  EXPECT_EQ(a.breaker_short_circuits, b.breaker_short_circuits);
-  EXPECT_EQ(a.legs_cancelled, b.legs_cancelled);
-  EXPECT_EQ(a.max_queue_depth, b.max_queue_depth);
-  EXPECT_EQ(a.drains, b.drains);
+  EXPECT_EQ(a.partitioned_rounds, 0u);
+  EXPECT_EQ(a.chunked_rounds, 0u);
+  for (const unsigned jobs : {2u, 3u, 4u, 8u}) {
+    SCOPED_TRACE(jobs);
+    cell.engine.jobs = jobs;
+    const CellResult b = run_cell(cell);
+    EXPECT_GT(b.partitioned_rounds, 0u);
+    EXPECT_GT(b.chunked_rounds, 0u);
+    EXPECT_EQ(a.requests, b.requests);
+    EXPECT_EQ(a.client_retries, b.client_retries);
+    EXPECT_DOUBLE_EQ(a.attack_availability, b.attack_availability);
+    EXPECT_DOUBLE_EQ(a.post_availability, b.post_availability);
+    EXPECT_DOUBLE_EQ(a.recovery_s, b.recovery_s);
+    EXPECT_EQ(a.recovered, b.recovered);
+    EXPECT_EQ(a.collapsed_windows, b.collapsed_windows);
+    EXPECT_EQ(a.retry_budget_spent, b.retry_budget_spent);
+    EXPECT_EQ(a.retry_budget_denied, b.retry_budget_denied);
+    EXPECT_EQ(a.breaker_opens, b.breaker_opens);
+    EXPECT_EQ(a.breaker_short_circuits, b.breaker_short_circuits);
+    EXPECT_EQ(a.legs_cancelled, b.legs_cancelled);
+    EXPECT_EQ(a.max_queue_depth, b.max_queue_depth);
+    EXPECT_EQ(a.drains, b.drains);
+  }
 }
 
 TEST(OverloadExperiment, DeterministicAcrossTrialJobCounts) {

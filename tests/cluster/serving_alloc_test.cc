@@ -98,10 +98,11 @@ TEST(ServingAllocTest, WarmServingRunIsAllocationFree) {
 }
 
 // Same contract with the wave pool engaged: jobs = 4 splits the per-wave
-// active-node / depth-dirty lists and the serving histograms per shard.
-// All of that state must recycle exactly like the inline path's.
-// (min_ops_to_shard = 0 forces every wave through the pool, so the
-// sharded structures are actually exercised.)
+// active-node / depth-dirty lists and the serving histograms per shard,
+// the clients into four partitions and each round's routing into four
+// chunks. All of that state must recycle exactly like the inline
+// path's. (min_ops_to_shard = 0 forces every wave, harvest and round
+// through the pool, so the sharded structures are actually exercised.)
 TEST(ServingAllocTest, WarmShardedServingRunIsAllocationFree) {
   constexpr std::uint64_t kSectors = 16384;
   const ClusterTopology topo{.pods = 3, .bays_per_pod = 2};
@@ -134,6 +135,8 @@ TEST(ServingAllocTest, WarmShardedServingRunIsAllocationFree) {
   const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
 
   EXPECT_EQ(measured.traffic.requests, warm.traffic.requests);
+  EXPECT_GT(measured.partitioned_rounds, 0u);
+  EXPECT_GT(measured.chunked_rounds, 0u);
   EXPECT_EQ(after - before, 0u)
       << "sharded steady-state serving loop allocated on the hot path";
 }

@@ -32,6 +32,8 @@ struct ServingRunResult {
   std::int64_t qwait_p99_ns = 0;
   std::int64_t service_p99_ns = 0;
   unsigned shards = 0;
+  std::uint64_t partitioned_rounds = 0;
+  std::uint64_t chunked_rounds = 0;
 };
 
 EngineConfig serving_engine_config() {
@@ -98,6 +100,8 @@ ServingRunResult run_attacked_serving_cell(EngineConfig config, unsigned jobs,
   result.qwait_p99_ns = engine.queue_wait_histogram().quantile(0.99).ns();
   result.service_p99_ns = engine.service_histogram().quantile(0.99).ns();
   result.shards = engine.shards();
+  result.partitioned_rounds = report.partitioned_rounds;
+  result.chunked_rounds = report.chunked_rounds;
   return result;
 }
 
@@ -159,12 +163,23 @@ TEST(ServingEngine, ShardedRunIsBitIdenticalToInline) {
   EXPECT_GT(inline_run.serving.legs_submitted, 0u);
 }
 
+// Forced onto the pool, the closed-loop rounds collect in one partition
+// per job and route in one chunk per job. Jobs 3 splits the 64 clients
+// 22/22/20 over 12 shards, so partitions and chunks are uneven.
 TEST(ServingEngine, ShardCountDoesNotChangeResults) {
-  const ServingRunResult two =
-      run_attacked_serving_cell(serving_engine_config(), 2, 0);
-  const ServingRunResult eight =
-      run_attacked_serving_cell(serving_engine_config(), 8, 0);
-  expect_identical(two, eight);
+  const ServingRunResult one =
+      run_attacked_serving_cell(serving_engine_config(), 1, 0);
+  EXPECT_EQ(one.partitioned_rounds, 0u);
+  EXPECT_EQ(one.chunked_rounds, 0u);
+  for (const unsigned jobs : {2u, 3u, 4u, 8u}) {
+    SCOPED_TRACE(jobs);
+    const ServingRunResult run =
+        run_attacked_serving_cell(serving_engine_config(), jobs, 0);
+    EXPECT_GT(run.shards, 1u);
+    EXPECT_GT(run.partitioned_rounds, 0u);
+    EXPECT_GT(run.chunked_rounds, 0u);
+    expect_identical(one, run);
+  }
 }
 
 // Open-loop serving reuses the immediate path's traffic generator

@@ -1,6 +1,7 @@
 // Traffic tests: the exact alias-method Zipf sampler and its batched
 // draw/prefetch/resolve split, the closed-loop population's next-issue
-// calendar (differentially, against the timer wheel), and the engine's
+// calendar (differentially, against the timer wheel) and its partitions
+// (against one partition, inline and on a pool), and the engine's
 // open-loop arrivals — Poisson arrival counts, the read/write mix,
 // deterministic replay, timeline action delivery and the rejection of
 // degenerate traffic configs — on MemDisk nodes.
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "mem_cluster.h"
+#include "sim/task_pool.h"
 #include "sim/timer_wheel.h"
 
 namespace deepnote::cluster {
@@ -224,6 +226,115 @@ TEST(IssueCalendar, HarvestsExactlyWhatTheTimerWheelFires) {
   EXPECT_GT(seen.repeat, 0);
   EXPECT_GT(seen.behind, 0);
   EXPECT_GT(seen.long_jump, 0);
+}
+
+// Partitions decide only which calendar holds a client and which thread
+// collects it, never what a round hands out. One seeded outcome timeline
+// (served, shed, failed and timed-out outcomes, with retry_failures and
+// jitter on and a retry budget that runs dry) drives populations of 1,
+// 2, 3, 4, 16 and 17 partitions, collected inline and on a 4-thread
+// pool. Every round must match the single-partition run issue for
+// issue, and so must the retry count and the budget.
+TEST(ClosedLoopPopulation, PartitionsDoNotChangeTheIssues) {
+  constexpr std::size_t kClients = 1000;
+  constexpr int kRounds = 400;
+  const ZipfAliasSampler zipf(5000, 0.9);
+  TrafficConfig traffic;
+  traffic.arrival_rate_per_s = 20000.0;  // a 50 ms think mean
+  traffic.read_fraction = 0.7;
+  traffic.seed = 0x9a27;
+  resilience::BackoffConfig backoff;
+  backoff.base = sim::Duration::from_millis(2.0);
+  backoff.cap = sim::Duration::from_millis(40.0);
+  backoff.jitter = 0.5;
+  backoff.max_retries = 4;
+  backoff.retry_failures = true;
+  const resilience::RetryBudgetConfig budget_config{
+      .enabled = true, .earn_per_request = 0.1, .cap = 8.0};
+
+  struct Trace {
+    std::vector<std::vector<ClientIssue>> rounds;
+    std::uint64_t retries = 0;
+    std::uint64_t spent = 0;
+    std::uint64_t denied = 0;
+    double tokens = 0.0;
+    std::size_t outcomes[kNumOutcomeKinds] = {};
+  };
+  const auto run = [&](std::size_t partitions, sim::TaskPool* pool) {
+    resilience::RetryBudget budget(budget_config);
+    budget.reset();
+    ClosedLoopPopulation population;
+    population.reset(traffic, kClients, backoff, &budget,
+                     sim::SimTime::zero(), partitions);
+    EXPECT_EQ(population.partitions(), partitions);
+    // Drawn in issue order, so it is the same timeline as long as the
+    // issues are.
+    sim::Rng timeline(0x0c0e);
+    Trace trace;
+    sim::SimTime horizon = sim::SimTime::zero();
+    std::vector<ClientIssue> due;
+    for (int round = 0; round < kRounds; ++round) {
+      horizon = horizon + sim::Duration::from_millis(5.0);
+      due.clear();
+      population.collect_due(horizon, zipf, due, pool);
+      trace.rounds.push_back(due);
+      for (const ClientIssue& issue : due) {
+        const double u = timeline.next_double();
+        const OutcomeKind outcome = u < 0.55   ? OutcomeKind::kServed
+                                    : u < 0.75 ? OutcomeKind::kShed
+                                    : u < 0.9  ? OutcomeKind::kFailed
+                                               : OutcomeKind::kTimedOut;
+        ++trace.outcomes[static_cast<std::size_t>(outcome)];
+        population.complete(
+            issue.client,
+            issue.at + sim::Duration::from_micros(
+                           static_cast<double>(timeline.uniform_int(50, 9000))),
+            outcome);
+      }
+    }
+    trace.retries = population.retries();
+    trace.spent = budget.spent();
+    trace.denied = budget.denied();
+    trace.tokens = budget.tokens();
+    return trace;
+  };
+
+  const Trace want = run(1, nullptr);
+  // The timeline exercised every outcome, the retries and a dry budget.
+  for (const OutcomeKind kind :
+       {OutcomeKind::kServed, OutcomeKind::kShed, OutcomeKind::kFailed,
+        OutcomeKind::kTimedOut}) {
+    EXPECT_GT(want.outcomes[static_cast<std::size_t>(kind)], 0u);
+  }
+  EXPECT_GT(want.retries, 0u);
+  EXPECT_GT(want.spent, 0u);
+  EXPECT_GT(want.denied, 0u);
+  EXPECT_GT(want.rounds.back().size(), 0u);
+
+  sim::TaskPool pool(4);
+  for (const std::size_t partitions : {1, 2, 3, 4, 16, 17}) {
+    for (sim::TaskPool* on : {static_cast<sim::TaskPool*>(nullptr), &pool}) {
+      SCOPED_TRACE(::testing::Message() << partitions << " partitions, "
+                                        << (on ? "pool" : "inline"));
+      const Trace got = run(partitions, on);
+      ASSERT_EQ(got.rounds.size(), want.rounds.size());
+      for (std::size_t r = 0; r < want.rounds.size(); ++r) {
+        const std::vector<ClientIssue>& a = got.rounds[r];
+        const std::vector<ClientIssue>& b = want.rounds[r];
+        ASSERT_EQ(a.size(), b.size()) << "round " << r;
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          ASSERT_EQ(a[i].at, b[i].at) << "round " << r << ", issue " << i;
+          ASSERT_EQ(a[i].client, b[i].client) << "round " << r;
+          ASSERT_EQ(a[i].key, b[i].key) << "round " << r;
+          ASSERT_EQ(a[i].is_read, b[i].is_read) << "round " << r;
+        }
+      }
+      EXPECT_EQ(got.retries, want.retries);
+      EXPECT_EQ(got.spent, want.spent);
+      EXPECT_EQ(got.denied, want.denied);
+      EXPECT_EQ(got.tokens, want.tokens);
+    }
+  }
 }
 
 TEST(Traffic, OpenLoopArrivalCountTracksTheRate) {
