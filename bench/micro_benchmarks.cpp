@@ -504,8 +504,10 @@ BENCHMARK(BM_PlacementReplicas)
 // epoch, draws their keys, and completes every issue as served 8 ms
 // later, which schedules its next think. Arg(1) collects inline in one
 // partition; Arg(4) collects four partitions on a 4-thread pool, as the
-// engine does at 4 jobs. ns_per_issue is the population's own cost per
-// issued request.
+// engine does at 4 jobs. The round is merged in (at, client) order
+// through one slice, as the engine routes a round below
+// min_ops_to_shard issues, before the issues complete. ns_per_issue is
+// the population's own cost per issued request.
 static void BM_ClosedLoopRound(benchmark::State& state) {
   constexpr std::size_t kClients = 273066;
   static const cluster::ZipfAliasSampler zipf(20000, 0.01);
@@ -520,13 +522,18 @@ static void BM_ClosedLoopRound(benchmark::State& state) {
   population.reset(traffic, kClients,
                    cluster::overload_experiment_config().governed_backoff,
                    nullptr, sim::SimTime::zero(), partitions);
+  cluster::IssueRuns round;
   std::vector<cluster::ClientIssue> due;
   sim::SimTime horizon = sim::SimTime::zero();
   std::int64_t issues = 0;
   for (auto _ : state) {
     horizon = horizon + sim::Duration::from_millis(50.0);
+    population.collect_runs(horizon, zipf, round, pool.get());
     due.clear();
-    population.collect_due(horizon, zipf, due, pool.get());
+    round.split(1);
+    round.merge_slice(0, [&](const cluster::ClientIssue& issue, std::size_t) {
+      due.push_back(issue);
+    });
     benchmark::DoNotOptimize(due.data());
     for (const cluster::ClientIssue& issue : due) {
       population.complete(issue.client,

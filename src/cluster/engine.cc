@@ -121,6 +121,23 @@ ShardedClusterEngine::ShardedClusterEngine(
                     std::byte{0x5a});
   shard_frontier_.assign(shard_count_, sim::SimTime::zero());
   node_ops_.resize(n);
+  // One routing chunk per job: a round of min_ops_to_shard issues or
+  // more routes in all of them on the pool, a smaller one in the first.
+  chunks_.resize(pool_ ? pool_->jobs() : 1);
+  for (RouteChunk& chunk : chunks_) {
+    chunk.replicas.reserve(config_.balancer.replication);
+    chunk.shard_begin.resize(shard_count_ + 1);
+  }
+  shard_gather_depth_.assign(shard_count_, 0);
+  if (pool_) {
+    // Pooled gathers fill these: size them here.
+    for (auto& active : shard_active_) active.reserve(nodes_per_shard_);
+    node_legs_.assign(n, 0);
+    route_fn_ = [this](std::size_t chunk) {
+      route_chunk(chunk);
+      group_by_shard(chunks_[chunk]);
+    };
+  }
 
   chaos_down_.assign(n, 0);
   chaos_flap_.assign(n, 0);
@@ -158,21 +175,6 @@ ShardedClusterEngine::ShardedClusterEngine(
     shard_used_.resize(shard_count_);
     shard_qwait_.resize(shard_count_);
     shard_service_.resize(shard_count_);
-    if (config_.serving.closed_loop && pool_ &&
-        config_.serving.clients >= config_.min_ops_to_shard) {
-      // The population collects in one partition per job (start_run);
-      // its big rounds route in as many chunks.
-      chunks_.resize(pool_->jobs());
-      for (RouteChunk& chunk : chunks_) {
-        chunk.replicas.reserve(config_.balancer.replication);
-        chunk.shard_begin.resize(shard_count_ + 1);
-        chunk.node_legs.assign(n, 0);
-      }
-      // The gathers fill these on the pool: size them here.
-      for (auto& active : shard_active_) active.reserve(nodes_per_shard_);
-      shard_gather_depth_.assign(shard_count_, 0);
-      route_fn_ = [this](std::size_t chunk) { route_chunk(chunk); };
-    }
   }
 }
 
@@ -271,11 +273,17 @@ void ShardedClusterEngine::start_run(sim::SimTime start, SloTracker& slo,
     timed_out_requests_ = 0;
     error_requests_ = 0;
     if (config_.serving.closed_loop) {
+      // A population of min_ops_to_shard clients or more collects in
+      // one partition per job, on the pool.
+      const std::size_t partitions =
+          pool_ && config_.serving.clients >= config_.min_ops_to_shard
+              ? pool_->jobs()
+              : 1;
       clients_.reset(config_.traffic, config_.serving.clients,
                      config_.serving.backoff,
                      config_.serving.retry_budget.enabled ? &retry_budget_
                                                           : nullptr,
-                     start, chunks_.empty() ? 1 : chunks_.size());
+                     start, partitions);
     }
   }
   running_ = true;
@@ -298,43 +306,27 @@ bool ShardedClusterEngine::step() {
   begin_epoch();
   schedule_probes(t0, t1);
 
-  if (serving() && config_.serving.closed_loop) {
-    // Closed-loop rounds within the epoch: issue every due client
-    // request, run it to completion, and let the completions schedule
-    // the follow-ups (think gaps, retry backoffs) — which may land
-    // before the barrier and start another round. Round boundaries are
-    // global, so results stay byte-identical at any shard count. A big
-    // population collects on the pool, partition by partition, and its
-    // big rounds route there too, chunk by chunk.
-    std::size_t round_lo = 0;
-    for (;;) {
-      issue_scratch_.clear();
-      if (chunks_.empty()) {
-        clients_.collect_due(t1, *zipf_, issue_scratch_);
-        if (issue_scratch_.empty()) break;
-      } else {
-        const std::size_t issues =
-            clients_.collect_runs(t1, *zipf_, pool_.get());
-        if (issues == 0) break;
-        ++partitioned_rounds_;
-        if (issues >= config_.min_ops_to_shard) {
-          route_round(round_lo, issues);
-        } else {
-          clients_.merge_runs(issue_scratch_);
-        }
-      }
-      for (const ClientIssue& issue : issue_scratch_) {
-        const std::uint32_t r =
-            push_request(issue.at, issue.key, issue.is_read);
-        req_client_[r] = issue.client;
-      }
-      run_waves(round_lo);
-      settle_clients(round_lo);
-      round_lo = req_arrival_.size();
+  // One loop of rounds for both arrival models. An open-loop epoch is
+  // one round of every arrival before the barrier. A closed-loop epoch
+  // issues every due client request, runs it to completion, and lets the
+  // completions schedule the follow-ups (think gaps, retry backoffs) —
+  // which may land before the barrier and start another round. Round
+  // boundaries are global, so results stay byte-identical at any shard
+  // count. The waves run whenever ops are queued, so the epoch's probes
+  // run even when no client is due.
+  const bool closed_loop = serving() && config_.serving.closed_loop;
+  for (std::size_t round_lo = 0;; round_lo = req_arrival_.size()) {
+    std::size_t issues = 0;
+    if (closed_loop) {
+      issues = clients_.collect_runs(t1, *zipf_, round_, pool_.get());
+      if (issues > 0 && clients_.partitions() > 1) ++partitioned_rounds_;
+    } else {
+      issues = generate_arrivals(t1);
     }
-  } else {
-    generate_and_route(t1);
-    if (ops_emitted_ > 0) run_waves(0);
+    if (issues > 0) route_round(round_lo, issues);
+    if (ops_emitted_ > 0) run_waves(round_lo);
+    if (!closed_loop || issues == 0) break;
+    settle_clients(round_lo);
   }
   barrier_control(t1);
   account_epoch_slo();
@@ -490,77 +482,48 @@ void ShardedClusterEngine::schedule_probes(sim::SimTime t0, sim::SimTime t1) {
   }
 }
 
-void ShardedClusterEngine::generate_and_route(sim::SimTime t1) {
+std::size_t ShardedClusterEngine::generate_arrivals(sim::SimTime t1) {
+  round_.clear(1);
+  std::vector<ClientIssue>& run = round_.run(0);
   while (next_arrival_ < t1) {
     // Pass 1: draw a batch of arrivals in the stream's order (gap, key
     // draw, read coin), starting each key's table fetch as it goes.
+    const std::size_t first = run.size();
     std::size_t n = 0;
-    for (; n < arrivals_.size() && next_arrival_ < t1; ++n) {
-      Arrival& a = arrivals_[n];
-      a.at = next_arrival_;
-      next_arrival_ = a.at + sim::Duration::from_seconds(
-                                 rng_.exponential(mean_gap_s_));
-      a.key = zipf_->draw(rng_);
-      zipf_->prefetch(a.key.bucket);
-      a.is_read = rng_.bernoulli(config_.traffic.read_fraction);
+    for (; n < draws_.size() && next_arrival_ < t1; ++n) {
+      const sim::SimTime at = next_arrival_;
+      next_arrival_ =
+          at + sim::Duration::from_seconds(rng_.exponential(mean_gap_s_));
+      draws_[n] = zipf_->draw(rng_);
+      zipf_->prefetch(draws_[n].bucket);
+      run.push_back(ClientIssue{
+          at, 0, rng_.bernoulli(config_.traffic.read_fraction), 0});
     }
-    // Pass 2: resolve and route the batch in arrival order.
+    // Pass 2: resolve the batch's keys.
     for (std::size_t i = 0; i < n; ++i) {
-      push_request(arrivals_[i].at, zipf_->resolve(arrivals_[i].key),
-                   arrivals_[i].is_read);
+      run[first + i].key = zipf_->resolve(draws_[i]);
     }
   }
+  return run.size();
 }
 
-template <class Sink>
-void ShardedClusterEngine::route(Sink& sink, std::uint32_t r,
+void ShardedClusterEngine::route(RouteChunk& chunk, std::uint32_t r,
                                  std::uint64_t key, bool is_read) {
-  ++sink.traffic.requests;
-  placement_.replicas(key, sink.replicas);
-  sink.earn();
+  ++chunk.traffic.requests;
+  placement_.replicas(key, chunk.replicas);
+  ++chunk.earns;
   if (is_read) {
-    ++sink.traffic.reads;
-    route_read(sink, r);
+    ++chunk.traffic.reads;
+    route_read(chunk, r);
   } else {
-    ++sink.traffic.writes;
-    route_write(sink, r);
+    ++chunk.traffic.writes;
+    route_write(chunk, r);
   }
 }
 
-std::uint32_t ShardedClusterEngine::push_request(sim::SimTime arrival,
-                                                std::uint64_t key,
-                                                bool is_read) {
-  const auto r = static_cast<std::uint32_t>(req_arrival_.size());
-  req_arrival_.push_back(arrival);
-  req_lba_.push_back(lba_of(key));
-  req_is_read_.push_back(is_read ? 1 : 0);
-  req_hedged_.push_back(0);
-  req_ok_.push_back(0);
-  req_complete_.push_back(arrival);
-  req_t_.push_back(arrival);
-  req_attempts_.push_back(0);
-  req_next_cand_.push_back(0);
-  req_ncand_.push_back(0);
-  req_nlegs_.push_back(0);
-  req_cand_.resize(req_cand_.size() + leg_stride_, 0);
-  leg_ok_.resize(leg_ok_.size() + leg_stride_, 0);
-  leg_complete_.resize(leg_complete_.size() + leg_stride_,
-                       sim::SimTime::zero());
-  if (serving()) {
-    req_fail_kind_.push_back(0);
-    req_client_.push_back(0);
-    req_hedge_cancel_.push_back(sim::SimTime::infinity());
-    leg_outcome_.resize(leg_outcome_.size() + leg_stride_, 0);
-  }
-  SerialRoute sink{*this, replica_scratch_, stats_, traffic_};
-  route(sink, r, key, is_read);
-  return r;
-}
-
-template <class Sink>
-void ShardedClusterEngine::route_read(Sink& sink, std::uint32_t r) {
-  ++sink.stats.reads;
-  std::vector<NodeId>& replicas = sink.replicas;
+void ShardedClusterEngine::route_read(RouteChunk& chunk, std::uint32_t r) {
+  ++chunk.stats.reads;
+  std::vector<NodeId>& replicas = chunk.replicas;
   // Stable two-bucket ordering against the epoch-start health
   // snapshot (healthy before drained, an open breaker counting as
   // drained; fail-static — a fully drained set is still attempted).
@@ -581,7 +544,6 @@ void ShardedClusterEngine::route_read(Sink& sink, std::uint32_t r) {
   }
   req_ncand_[r] = ncand;
 
-  const sim::SimTime arrival = req_arrival_[r];
   bool hedged = false;
   if (config_.balancer.hedge_threshold.ns() > 0 && ncand >= 2) {
     const NodeId primary = req_cand_[base];
@@ -589,7 +551,7 @@ void ShardedClusterEngine::route_read(Sink& sink, std::uint32_t r) {
     hedged = hot_snap_[primary] != 0 && rank_snap_[backup] != kDrainedRank;
   }
   if (hedged) {
-    ++sink.stats.hedged_reads;
+    ++chunk.stats.hedged_reads;
     req_hedged_[r] = 1;
     if (serving()) {
       // Serving mode defers the backup leg to the next wave so its
@@ -598,36 +560,34 @@ void ShardedClusterEngine::route_read(Sink& sink, std::uint32_t r) {
       // only the primary; combine_wave0 emits leg 1.
       req_attempts_[r] = 1;
       req_next_cand_[r] = 1;
-      sink.emit(req_cand_[base], kRead, r, 0, arrival);
+      chunk.emit(req_cand_[base], kRead, r, 0);
       return;
     }
     req_attempts_[r] = 2;
     req_next_cand_[r] = 2;
-    sink.emit(req_cand_[base], kRead, r, 0, arrival);
-    sink.emit(req_cand_[base + 1], kRead, r, 1, arrival);
+    chunk.emit(req_cand_[base], kRead, r, 0);
+    chunk.emit(req_cand_[base + 1], kRead, r, 1);
   } else {
     req_attempts_[r] = 1;
     req_next_cand_[r] = 1;
-    sink.emit(req_cand_[base], kRead, r, 0, arrival);
+    chunk.emit(req_cand_[base], kRead, r, 0);
   }
 }
 
-template <class Sink>
-void ShardedClusterEngine::route_write(Sink& sink, std::uint32_t r) {
-  ++sink.stats.writes;
+void ShardedClusterEngine::route_write(RouteChunk& chunk, std::uint32_t r) {
+  ++chunk.stats.writes;
   std::size_t in_rotation = 0;
-  for (const NodeId id : sink.replicas) {
+  for (const NodeId id : chunk.replicas) {
     if (health_[id] != NodeHealth::kDrained) ++in_rotation;
   }
   // Skip drained replicas only while the in-rotation members can still
   // make quorum (fail-static on the write path, as for reads).
   const bool skip_drained = in_rotation >= write_quorum_;
 
-  const sim::SimTime arrival = req_arrival_[r];
   std::uint16_t legs = 0;
-  for (const NodeId id : sink.replicas) {
+  for (const NodeId id : chunk.replicas) {
     if (skip_drained && health_[id] == NodeHealth::kDrained) continue;
-    sink.emit(id, kWrite, r, legs++, arrival);
+    chunk.emit(id, kWrite, r, legs++);
   }
   req_nlegs_[r] = legs;
 }
@@ -652,25 +612,35 @@ void ShardedClusterEngine::route_round(std::size_t first_req,
   grow_to(req_cand_, nlegs);
   grow_to(leg_ok_, nlegs);
   grow_to(leg_complete_, nlegs);
-  grow_to(req_fail_kind_, nreq);
-  grow_to(req_client_, nreq);
-  grow_to(req_hedge_cancel_, nreq);
-  grow_to(leg_outcome_, nlegs);
-  round_first_ = first_req;
-  // Each chunk merges one slice of the round; a request emits at most
-  // leg_stride_ wave-0 legs.
-  clients_.split_runs(chunks_.size());
-  for (std::size_t c = 0; c < chunks_.size(); ++c) {
-    const std::size_t most_legs =
-        (clients_.slice_begin(c + 1) - clients_.slice_begin(c)) * leg_stride_;
-    chunks_[c].legs.reserve(most_legs);
-    chunks_[c].by_shard.reserve(most_legs);
+  if (serving()) {
+    grow_to(req_fail_kind_, nreq);
+    grow_to(req_client_, nreq);
+    grow_to(req_hedge_cancel_, nreq);
+    grow_to(leg_outcome_, nlegs);
   }
-  pool_->run_indexed(chunks_.size(), route_fn_);
-  // Chunk order is request order: each chunk's legs take the seqs serial
-  // routing would give them, and its counts and earns land as they
-  // would (earns are capped adds, and nothing spends during routing).
-  for (RouteChunk& chunk : chunks_) {
+  round_first_ = first_req;
+  round_chunks_ = issues >= config_.min_ops_to_shard ? chunks_.size() : 1;
+  // Each chunk merges one slice of the round; a request emits at most
+  // leg_stride_ wave-0 legs. Pooled chunks group theirs by shard too.
+  round_.split(round_chunks_);
+  for (std::size_t c = 0; c < round_chunks_; ++c) {
+    const std::size_t most_legs =
+        (round_.slice_begin(c + 1) - round_.slice_begin(c)) * leg_stride_;
+    chunks_[c].legs.reserve(most_legs);
+    if (round_chunks_ > 1) chunks_[c].by_shard.reserve(most_legs);
+  }
+  if (round_chunks_ > 1) {
+    pool_->run_indexed(round_chunks_, route_fn_);
+    ++chunked_rounds_;
+  } else {
+    route_chunk(0);
+  }
+  // Chunk order is request order: each chunk's legs take the seqs that
+  // emitting them one by one would give them, and its counts and earns
+  // land as they would (earns are capped adds, and nothing spends during
+  // routing).
+  for (std::size_t c = 0; c < round_chunks_; ++c) {
+    RouteChunk& chunk = chunks_[c];
     const auto legs = static_cast<std::uint32_t>(chunk.legs.size());
     chunk.seq_base = op_seq_;
     op_seq_ += legs;
@@ -683,22 +653,27 @@ void ShardedClusterEngine::route_round(std::size_t first_req,
     stats_.hedged_reads += chunk.stats.hedged_reads;
     for (std::uint64_t i = 0; i < chunk.earns; ++i) failover_budget_.earn();
   }
-  // Make room in the node queues the gathers fill, growing them the way
-  // push_back would but on this thread, so the pool's threads never
-  // allocate them.
-  for (std::size_t node = 0; node < node_ops_.size(); ++node) {
-    std::size_t legs = 0;
-    for (RouteChunk& chunk : chunks_) {
-      legs += chunk.node_legs[node];
-      chunk.node_legs[node] = 0;
-    }
-    std::vector<Op>& ops = node_ops_[node];
-    if (ops.size() + legs > ops.capacity()) {
-      ops.reserve(std::max(ops.size() + legs, 2 * ops.capacity()));
+  gather_pending_ = true;
+  if (!wave_on_pool()) return;
+  // The first wave gathers on the pool, shard by shard. Make room in the
+  // node queues those gathers fill, growing them the way push_back
+  // would but on this thread: two passes over the legs, none over the
+  // fleet.
+  if (round_chunks_ == 1) group_by_shard(chunks_[0]);
+  for (std::size_t c = 0; c < round_chunks_; ++c) {
+    for (const RouteChunk::Leg& leg : chunks_[c].legs) ++node_legs_[leg.node];
+  }
+  for (std::size_t c = 0; c < round_chunks_; ++c) {
+    for (const RouteChunk::Leg& leg : chunks_[c].legs) {
+      std::uint32_t& legs = node_legs_[leg.node];
+      if (legs == 0) continue;
+      std::vector<Op>& ops = node_ops_[leg.node];
+      if (ops.size() + legs > ops.capacity()) {
+        ops.reserve(std::max(ops.size() + legs, 2 * ops.capacity()));
+      }
+      legs = 0;
     }
   }
-  gather_pending_ = true;
-  ++chunked_rounds_;
 }
 
 void ShardedClusterEngine::route_chunk(std::size_t c) {
@@ -707,8 +682,9 @@ void ShardedClusterEngine::route_chunk(std::size_t c) {
   chunk.traffic = {};
   chunk.earns = 0;
   chunk.legs.clear();
-  clients_.merge_slice(c, [&](const ClientIssue& issue, std::size_t i) {
-    // The fresh request's state, as push_request writes it.
+  const bool serve = serving();
+  round_.merge_slice(c, [&](const ClientIssue& issue, std::size_t i) {
+    // The fresh request's state.
     const auto r = static_cast<std::uint32_t>(round_first_ + i);
     req_arrival_[r] = issue.at;
     req_lba_[r] = lba_of(issue.key);
@@ -721,20 +697,26 @@ void ShardedClusterEngine::route_chunk(std::size_t c) {
     req_next_cand_[r] = 0;
     req_ncand_[r] = 0;
     req_nlegs_[r] = 0;
-    req_fail_kind_[r] = 0;
-    req_client_[r] = issue.client;
-    req_hedge_cancel_[r] = sim::SimTime::infinity();
     const std::size_t base = static_cast<std::size_t>(r) * leg_stride_;
     for (std::size_t slot = base; slot < base + leg_stride_; ++slot) {
       req_cand_[slot] = 0;
       leg_ok_[slot] = 0;
       leg_complete_[slot] = sim::SimTime::zero();
-      leg_outcome_[slot] = 0;
+    }
+    if (serve) {
+      req_fail_kind_[r] = 0;
+      req_client_[r] = issue.client;
+      req_hedge_cancel_[r] = sim::SimTime::infinity();
+      for (std::size_t slot = base; slot < base + leg_stride_; ++slot) {
+        leg_outcome_[slot] = 0;
+      }
     }
     route(chunk, r, issue.key, issue.is_read);
   });
-  // Group the legs by shard (a counting sort, so each shard's legs keep
-  // their emission order).
+}
+
+void ShardedClusterEngine::group_by_shard(RouteChunk& chunk) {
+  // A counting sort, so each shard's legs keep their emission order.
   std::vector<std::uint32_t>& begin = chunk.shard_begin;
   std::fill(begin.begin(), begin.end(), 0);
   for (const RouteChunk::Leg& leg : chunk.legs) {
@@ -750,32 +732,41 @@ void ShardedClusterEngine::route_chunk(std::size_t c) {
   begin[0] = 0;
 }
 
-void ShardedClusterEngine::gather_routed(std::size_t shard) {
-  // Chunk by chunk, each in emission order: every node queue, the
-  // shard's first-emission order and every depth come out as serial
-  // routing leaves them.
-  std::vector<NodeId>& active = shard_active_[shard];
+void ShardedClusterEngine::gather_routed(std::size_t shard_lo,
+                                         std::size_t shard_hi) {
+  // Chunk by chunk, each in emission order: every node queue, each
+  // shard's first-emission order and every depth come out as emitting
+  // the legs one by one leaves them.
+  const bool all = shard_lo == 0 && shard_hi == shard_count_;
   std::uint32_t deepest = 0;
-  for (const RouteChunk& chunk : chunks_) {
-    for (std::uint32_t i = chunk.shard_begin[shard];
-         i < chunk.shard_begin[shard + 1]; ++i) {
-      const std::uint32_t seq = chunk.by_shard[i];
-      const RouteChunk::Leg& leg = chunk.legs[seq];
-      std::vector<Op>& ops = node_ops_[leg.node];
-      if (ops.empty()) active.push_back(leg.node);
-      ops.push_back(Op{req_arrival_[leg.req], chunk.seq_base + seq, leg.req,
-                       leg.leg, leg.kind});
-      deepest = std::max(deepest, ++node_depth_[leg.node]);
+  const auto gather = [&](const RouteChunk& chunk, std::uint32_t seq) {
+    const RouteChunk::Leg& leg = chunk.legs[seq];
+    std::vector<Op>& ops = node_ops_[leg.node];
+    if (ops.empty()) shard_active_[node_shard_[leg.node]].push_back(leg.node);
+    ops.push_back(Op{req_arrival_[leg.req], chunk.seq_base + seq, leg.req,
+                     leg.leg, leg.kind});
+    deepest = std::max(deepest, ++node_depth_[leg.node]);
+  };
+  for (std::size_t c = 0; c < round_chunks_; ++c) {
+    const RouteChunk& chunk = chunks_[c];
+    if (all) {
+      const auto legs = static_cast<std::uint32_t>(chunk.legs.size());
+      for (std::uint32_t seq = 0; seq < legs; ++seq) gather(chunk, seq);
+      continue;
+    }
+    for (std::uint32_t i = chunk.shard_begin[shard_lo];
+         i < chunk.shard_begin[shard_hi]; ++i) {
+      gather(chunk, chunk.by_shard[i]);
     }
   }
-  shard_gather_depth_[shard] = deepest;
+  shard_gather_depth_[shard_lo] = deepest;
 }
 
 void ShardedClusterEngine::execute_wave() {
-  if (!pool_ || shard_count_ == 1 || ops_emitted_ < config_.min_ops_to_shard) {
-    execute_nodes(0, shard_count_, 0);
-  } else {
+  if (wave_on_pool()) {
     pool_->run_indexed(shard_count_, wave_fn_);
+  } else {
+    execute_nodes(0, shard_count_, 0);
   }
   for (const sim::SimTime f : shard_frontier_) {
     frontier_ = sim::max(frontier_, f);
@@ -783,8 +774,9 @@ void ShardedClusterEngine::execute_wave() {
   ops_emitted_ = 0;
   if (gather_pending_) {
     gather_pending_ = false;
-    for (const std::uint32_t depth : shard_gather_depth_) {
+    for (std::uint32_t& depth : shard_gather_depth_) {
       max_node_depth_ = std::max<std::uint64_t>(max_node_depth_, depth);
+      depth = 0;
     }
   }
 }
@@ -800,9 +792,7 @@ void ShardedClusterEngine::execute_nodes(std::size_t shard_lo,
   const std::size_t probe_bytes =
       static_cast<std::size_t>(config_.balancer.probe_sectors) *
       storage::kBlockSectorSize;
-  if (gather_pending_) {
-    for (std::size_t s = shard_lo; s < shard_hi; ++s) gather_routed(s);
-  }
+  if (gather_pending_) gather_routed(shard_lo, shard_hi);
 
   // Only nodes this wave actually touched: at 10k nodes a closed-loop
   // round emits to a handful of them, and a full-range scan would cost
@@ -870,51 +860,25 @@ void ShardedClusterEngine::execute_nodes(std::size_t shard_lo,
           return a.issue == b.issue ? a.seq < b.seq : a.issue < b.issue;
         });
       }
-      storage::BlockDevice& device = *devices_[node];
-      core::AttackDetector& detector = detectors_[node];
-      // Chaos crash: the node answers nothing. Legs fail instantly (the
-      // connection refuses), feeding the detector exactly like a device
-      // error; probes fail so a drained crashed node stays drained.
       // chaos_down_ only mutates at barriers, so the flag is stable for
       // the whole wave.
       const bool crashed = chaos_down_[node] > 0;
-      if (serving()) {
+      const std::span<std::byte> probe_buf = read_buf.first(probe_bytes);
+      if (serve) {
         // Serving pipeline: legs are submitted in canonical order, the
         // queue drains them through admission/deadline/device, and the
         // completion ring is consumed in bulk into the leg arrays and
-        // detector. Probes still bypass the queue — a health check must
-        // not skew the serving stats, and must not be shed by overload.
+        // detector.
         serving::NodeServer& server = servers_[node];
         const bool breaking = breakers_.enabled();
         bool submitted = false;
         for (const Op& op : ops) {
-          if (op.kind == kProbe) {
-            if (crashed) {
-              probe_ok_[op.req] = 0;
-              probe_complete_[op.req] = op.issue;
-              frontier = sim::max(frontier, op.issue);
-              continue;
-            }
-            const storage::BlockIo io =
-                device.read(op.issue, 0, config_.balancer.probe_sectors,
-                            read_buf.first(probe_bytes));
-            probe_ok_[op.req] = io.ok() ? 1 : 0;
-            probe_complete_[op.req] = io.complete;
-            frontier = sim::max(frontier, io.complete);
+          if (op.kind == kProbe || crashed) {
+            run_unqueued(op, node, crashed, probe_buf, frontier);
             continue;
           }
           const std::uint64_t slot =
               static_cast<std::uint64_t>(op.req) * leg_stride_ + op.leg;
-          if (crashed) {
-            detector.record_error(op.issue);
-            ++node_errors_[node];
-            leg_ok_[slot] = 0;
-            leg_complete_[slot] = op.issue;
-            leg_outcome_[slot] =
-                static_cast<std::uint8_t>(OutcomeKind::kFailed);
-            frontier = sim::max(frontier, op.issue);
-            continue;
-          }
           if (breaking && !breakers_.allow(s, node)) {
             // Short-circuit: the breaker refuses the leg without
             // touching the server or the detector — the whole point is
@@ -959,20 +923,11 @@ void ShardedClusterEngine::execute_nodes(std::size_t shard_lo,
         ops.clear();
         continue;
       }
+      storage::BlockDevice& device = *devices_[node];
+      core::AttackDetector& detector = detectors_[node];
       for (const Op& op : ops) {
-        if (crashed) {
-          if (op.kind == kProbe) {
-            probe_ok_[op.req] = 0;
-            probe_complete_[op.req] = op.issue;
-          } else {
-            detector.record_error(op.issue);
-            ++node_errors_[node];
-            const std::size_t slot =
-                static_cast<std::size_t>(op.req) * leg_stride_ + op.leg;
-            leg_ok_[slot] = 0;
-            leg_complete_[slot] = op.issue;
-          }
-          frontier = sim::max(frontier, op.issue);
+        if (op.kind == kProbe || crashed) {
+          run_unqueued(op, node, crashed, probe_buf, frontier);
           continue;
         }
         storage::BlockIo io;
@@ -980,33 +935,22 @@ void ShardedClusterEngine::execute_nodes(std::size_t shard_lo,
           ++node_writes_[node];
           io = device.write(op.issue, req_lba_[op.req],
                             config_.balancer.object_sectors, write_buf_);
-        } else if (op.kind == kRead) {
+        } else {
           ++node_reads_[node];
           io = device.read(op.issue, req_lba_[op.req],
                            config_.balancer.object_sectors,
                            read_buf.first(object_bytes));
-        } else {
-          // Probe the raw device without feeding the detector: health
-          // checks must not skew serving stats.
-          io = device.read(op.issue, 0, config_.balancer.probe_sectors,
-                           read_buf.first(probe_bytes));
         }
-        if (op.kind == kProbe) {
-          probe_ok_[op.req] = io.ok() ? 1 : 0;
-          probe_complete_[op.req] = io.complete;
+        if (io.ok()) {
+          detector.record_ok(io.complete, (io.complete - op.issue).seconds());
         } else {
-          if (io.ok()) {
-            detector.record_ok(io.complete,
-                               (io.complete - op.issue).seconds());
-          } else {
-            detector.record_error(io.complete);
-            ++node_errors_[node];
-          }
-          const std::size_t slot =
-              static_cast<std::size_t>(op.req) * leg_stride_ + op.leg;
-          leg_ok_[slot] = io.ok() ? 1 : 0;
-          leg_complete_[slot] = io.complete;
+          detector.record_error(io.complete);
+          ++node_errors_[node];
         }
+        const std::size_t slot =
+            static_cast<std::size_t>(op.req) * leg_stride_ + op.leg;
+        leg_ok_[slot] = io.ok() ? 1 : 0;
+        leg_complete_[slot] = io.complete;
         frontier = sim::max(frontier, io.complete);
       }
       ops.clear();
@@ -1017,6 +961,41 @@ void ShardedClusterEngine::execute_nodes(std::size_t shard_lo,
     }
   }
   shard_frontier_[shard_slot] = frontier;
+}
+
+void ShardedClusterEngine::run_unqueued(const Op& op, NodeId node,
+                                        bool crashed,
+                                        std::span<std::byte> probe_buf,
+                                        sim::SimTime& frontier) {
+  // Chaos crash: the node answers nothing. Legs fail instantly (the
+  // connection refuses), feeding the detector exactly like a device
+  // error; probes fail so a drained crashed node stays drained.
+  // Otherwise a probe reads the raw device, outside any serving queue
+  // and without feeding the detector: a health check must not skew the
+  // serving stats, nor be shed by overload.
+  bool ok = false;
+  sim::SimTime complete = op.issue;
+  if (!crashed) {
+    const storage::BlockIo io = devices_[node]->read(
+        op.issue, 0, config_.balancer.probe_sectors, probe_buf);
+    ok = io.ok();
+    complete = io.complete;
+  }
+  if (op.kind == kProbe) {
+    probe_ok_[op.req] = ok ? 1 : 0;
+    probe_complete_[op.req] = complete;
+  } else {
+    detectors_[node].record_error(op.issue);
+    ++node_errors_[node];
+    const std::size_t slot =
+        static_cast<std::size_t>(op.req) * leg_stride_ + op.leg;
+    leg_ok_[slot] = 0;
+    leg_complete_[slot] = op.issue;
+    if (serving()) {
+      leg_outcome_[slot] = static_cast<std::uint8_t>(OutcomeKind::kFailed);
+    }
+  }
+  frontier = sim::max(frontier, complete);
 }
 
 void ShardedClusterEngine::record_serving_result(

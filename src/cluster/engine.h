@@ -26,12 +26,23 @@
 //    at each epoch barrier, so everything inside an epoch is
 //    embarrassingly parallel per node. That is the engine's one
 //    fidelity trade: control reacts once per epoch, not per request.
-//  * Traffic is generated in per-epoch batches (one merged Poisson
-//    stream, alias-method Zipf keys) straight into reused flat arrays —
-//    the steady-state loop performs zero heap allocations. Keys are
-//    drawn, then resolved: a batch of arrivals takes all its RNG draws
+//  * An epoch runs in rounds, one loop for both arrival models: an
+//    open-loop epoch is one round of every arrival before its barrier
+//    (one merged Poisson stream, alias-method Zipf keys), a closed-loop
+//    epoch runs rounds until no client is due. A round is a set of
+//    issue runs sorted by time (IssueRuns): the open-loop generator
+//    fills one, a closed-loop population one per partition. Keys are
+//    drawn, then resolved: a batch of 64 issues takes all its RNG draws
 //    first, prefetching each key's alias-table entry, and only then
-//    looks its keys up and routes it, so the table misses overlap.
+//    looks its keys up, so the table misses overlap.
+//  * Every round is routed the same way: into one RouteChunk inline, or
+//    once it reaches min_ops_to_shard issues into one chunk per job on
+//    the pool, each chunk merging its slice of the runs into its own
+//    leg buffer. The round's first wave gathers the legs into the node
+//    queues, so every count, sequence number and budget earn lands as
+//    emitting the legs one by one would leave it. Everything lives in
+//    reused flat arrays — the steady-state loop performs zero heap
+//    allocations.
 //  * Node state is structure-of-arrays: health, probe timers, detector
 //    objects, and per-node op counters live in flat vectors indexed by
 //    NodeId, not in per-node heap objects.
@@ -45,13 +56,9 @@
 //    work is. A wave prefetches the device, detector and (serving)
 //    server of the nodes a few places ahead on its walk, so their cold
 //    misses overlap too.
-//  * A closed-loop round's client work and routing run on the same
-//    pool once the population reaches min_ops_to_shard clients: each
-//    job's partition of the clients collects its due issues, and each
-//    job's chunk of a big round merges its slice of them and routes it
-//    into its own leg buffers, which the round's first wave gathers
-//    shard by shard. Every count, sequence number and budget earn
-//    lands as serial routing would leave it.
+//  * A closed-loop population of min_ops_to_shard clients or more
+//    collects on the same pool: each job's partition of the clients
+//    harvests, sorts and keys its due issues into its own run.
 //
 // Serving mode (EngineConfig::serving.enabled) swaps the per-node op
 // execution from immediate dispatch to a NodeServer pipeline: every
@@ -75,6 +82,7 @@
 #include <functional>
 #include <memory>
 #include <new>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -218,7 +226,7 @@ struct EngineConfig {
   /// always land exactly on a boundary (epochs are clamped to pending
   /// action times).
   sim::Duration epoch = sim::Duration::from_millis(50.0);
-  /// Worker threads for waves and closed-loop rounds. 0 =
+  /// Worker threads for waves, routing and closed-loop collection. 0 =
   /// $DEEPNOTE_JOBS / all cores, 1 = fully inline (no pool). Results are
   /// identical at any value.
   unsigned jobs = 1;
@@ -341,29 +349,15 @@ class ShardedClusterEngine {
     std::uint8_t kind;   ///< kRead / kWrite / kProbe
   };
 
-  /// Serial routing's sink: legs go straight into the node queues and
-  /// counts into the run's totals.
-  struct SerialRoute {
-    ShardedClusterEngine& engine;
-    std::vector<NodeId>& replicas;
-    BalancerStats& stats;
-    TrafficReport& traffic;
-    void earn() { engine.failover_budget_.earn(); }
-    void emit(NodeId node, std::uint8_t kind, std::uint32_t req,
-              std::uint16_t leg, sim::SimTime issue) {
-      engine.emit(node, kind, req, leg, issue);
-    }
-  };
-
-  /// One contiguous slice of a closed-loop round routed on the pool: its
+  /// One contiguous slice of a round, routed inline or on the pool: its
   /// own replica scratch and counts, and its legs in emission order.
   /// route_round folds the counts in and gives the chunk the op_seq_ of
-  /// its first leg, chunk by chunk, and each shard gathers its legs at
-  /// the start of the round's first wave, so the node queues end up as
-  /// serial routing would leave them. The leg buffers are sized on the
-  /// calling thread before the chunks run, and the node queues after
-  /// (from `node_legs`), so the pool's threads allocate neither: memory a
-  /// pool thread allocates lands in its own malloc arena, which would
+  /// its first leg, chunk by chunk, and the round's first wave gathers
+  /// the legs into the node queues, so the queues end up as emitting the
+  /// legs one by one would leave them. The leg buffers are sized on the
+  /// calling thread before the chunks run, and the node queues a pooled
+  /// gather fills after, so the pool's threads allocate neither: memory
+  /// a pool thread allocates lands in its own malloc arena, which would
   /// raise the process's footprint. Aligned to a cache line:
   /// neighbouring chunks route on different threads.
   struct alignas(64) RouteChunk {
@@ -381,16 +375,14 @@ class ShardedClusterEngine {
     std::uint64_t earns = 0;     ///< failover-budget earns, not yet applied
     std::uint32_t seq_base = 0;  ///< op_seq_ of the chunk's first leg
     std::vector<Leg> legs;
-    /// Indices into `legs` grouped by shard, each group in emission
-    /// order: shard s's are by_shard[shard_begin[s], shard_begin[s + 1]).
+    /// For a pooled first wave only: indices into `legs` grouped by
+    /// shard, each group in emission order: shard s's are
+    /// by_shard[shard_begin[s], shard_begin[s + 1]).
     std::vector<std::uint32_t> by_shard;
     std::vector<std::uint32_t> shard_begin;
-    std::vector<std::uint32_t> node_legs;  ///< per node; zeroed after use
-    void earn() { ++earns; }
     void emit(NodeId node, std::uint8_t kind, std::uint32_t req,
-              std::uint16_t leg, sim::SimTime /*the arrival*/) {
+              std::uint16_t leg) {
       legs.push_back(Leg{req, node, leg, kind});
-      ++node_legs[node];
     }
   };
   static constexpr std::uint8_t kRead = 0;
@@ -404,34 +396,44 @@ class ShardedClusterEngine {
   void snapshot_control_state();
   void begin_epoch();
   void schedule_probes(sim::SimTime t0, sim::SimTime t1);
-  void generate_and_route(sim::SimTime t1);
-  std::uint32_t push_request(sim::SimTime arrival, std::uint64_t key,
-                             bool is_read);
+  /// Draw the open-loop arrivals before `t1` into the round's one run
+  /// and return their count.
+  std::size_t generate_arrivals(sim::SimTime t1);
   std::uint64_t lba_of(std::uint64_t key) const {
     return (mix64(key) % config_.balancer.objects) *
            config_.balancer.object_sectors;
   }
-  /// Count request `r`, look up its replicas and emit its wave-0 legs
-  /// into `sink` (a SerialRoute or a RouteChunk).
-  template <class Sink>
-  void route(Sink& sink, std::uint32_t r, std::uint64_t key, bool is_read);
-  template <class Sink>
-  void route_read(Sink& sink, std::uint32_t r);
-  template <class Sink>
-  void route_write(Sink& sink, std::uint32_t r);
-  void emit(NodeId node, std::uint8_t kind, std::uint32_t req,
-            std::uint16_t leg, sim::SimTime issue);
-  /// Route the closed-loop round the population just collected,
-  /// `issues` requests numbered from `first_req`, in chunks on the pool:
-  /// each chunk merges and routes one slice of it.
+  /// Route the round in `round_`, `issues` requests numbered from
+  /// `first_req`: in one chunk inline, or once it reaches
+  /// min_ops_to_shard issues in one chunk per job on the pool. Each
+  /// chunk merges one slice of the round and routes it.
   void route_round(std::size_t first_req, std::size_t issues);
   void route_chunk(std::size_t chunk);
-  /// Move the routed chunks' legs for `shard` into its node queues.
-  void gather_routed(std::size_t shard);
+  /// Count request `r`, look up its replicas and emit its wave-0 legs
+  /// into `chunk`.
+  void route(RouteChunk& chunk, std::uint32_t r, std::uint64_t key,
+             bool is_read);
+  void route_read(RouteChunk& chunk, std::uint32_t r);
+  void route_write(RouteChunk& chunk, std::uint32_t r);
+  void group_by_shard(RouteChunk& chunk);
+  void emit(NodeId node, std::uint8_t kind, std::uint32_t req,
+            std::uint16_t leg, sim::SimTime issue);
+  /// Move the routed chunks' legs for shards [shard_lo, shard_hi) into
+  /// their node queues: every shard's at once in emission order, or one
+  /// shard's through the chunks' by_shard groups.
+  void gather_routed(std::size_t shard_lo, std::size_t shard_hi);
 
+  /// The next wave runs its shards on the pool.
+  bool wave_on_pool() const {
+    return pool_ && ops_emitted_ >= config_.min_ops_to_shard;
+  }
   void execute_wave();
   void execute_nodes(std::size_t shard_lo, std::size_t shard_hi,
                      std::size_t shard_slot);
+  /// Run an op that never reaches a device queue: a probe, which reads
+  /// the raw device, or any op to a crashed node, which fails at issue.
+  void run_unqueued(const Op& op, NodeId node, bool crashed,
+                    std::span<std::byte> probe_buf, sim::SimTime& frontier);
   void run_waves(std::size_t first_req);
   void combine_wave0(std::size_t first_req);
   void combine_failover_wave();
@@ -512,10 +514,10 @@ class ShardedClusterEngine {
   // --- per-epoch request/completion arenas (reused, never shrunk) -------
   /// std::allocator, except that a vector's resize(n) leaves the new
   /// elements unwritten; they must be trivially copyable and
-  /// destructible. Closed-loop routing sizes the request arrays in one
-  /// step and lets each routing chunk write its own requests on the
-  /// pool: a zero fill first would pull every line of them through the
-  /// calling thread's cache.
+  /// destructible. Routing sizes the request arrays once per round and
+  /// lets each routing chunk write its own requests, on the pool for a
+  /// big round: a zero fill first would pull every line of them through
+  /// the calling thread's cache.
   template <class T>
   struct UninitAllocator : std::allocator<T> {
     template <class U>
@@ -565,32 +567,33 @@ class ShardedClusterEngine {
   std::vector<std::uint32_t> pending_;       ///< reads awaiting this wave
   std::vector<std::uint32_t> next_pending_;  ///< reads emitted for next wave
   bool wave_lists_flipped_ = false;  ///< parity of pending_ role swaps
-  std::vector<NodeId> replica_scratch_;
   std::vector<sim::SimTime> ack_scratch_;
   std::vector<std::vector<std::byte>> shard_read_buf_;  ///< one per shard
   std::vector<std::byte> write_buf_;
   std::vector<sim::SimTime> shard_frontier_;
-  /// Closed-loop rounds routed on the pool (empty unless the population
-  /// collects there too): one chunk per job.
+  /// The round being routed: the open-loop arrivals or the population's
+  /// due issues.
+  IssueRuns round_;
+  /// One routing chunk per job (one without a pool); a round uses the
+  /// first round_chunks_ of them.
   std::vector<RouteChunk> chunks_;
+  std::size_t round_chunks_ = 0;
   std::size_t round_first_ = 0;  ///< the routed round's first request
   /// The next wave starts by gathering the chunks' legs.
   bool gather_pending_ = false;
   /// Each shard's deepest node queue after a gather, owner-exclusive,
-  /// folded into max_node_depth_ after the wave.
+  /// folded into max_node_depth_ (and zeroed) after the wave.
   std::vector<std::uint32_t> shard_gather_depth_;
+  /// Per node, legs a pooled gather is about to queue; zero between
+  /// rounds. Sized only with a pool.
+  std::vector<std::uint32_t> node_legs_;
 
   // --- run state --------------------------------------------------------
   bool running_ = false;
   sim::Rng rng_{0};
   sim::SimTime next_arrival_ = sim::SimTime::zero();
-  /// An open-loop arrival drawn but not yet looked up or routed.
-  struct Arrival {
-    sim::SimTime at;
-    ZipfAliasSampler::Draw key;
-    bool is_read = false;
-  };
-  std::array<Arrival, ZipfAliasSampler::kBatch> arrivals_;  ///< one batch
+  /// Key draws of one batch of open-loop arrivals, not yet looked up.
+  std::array<ZipfAliasSampler::Draw, ZipfAliasSampler::kBatch> draws_;
   SloTracker* slo_ = nullptr;
   std::vector<TimelineAction> actions_;
   std::size_t next_action_ = 0;
@@ -610,7 +613,6 @@ class ShardedClusterEngine {
 
   // --- serving-mode run state -------------------------------------------
   ClosedLoopPopulation clients_;
-  std::vector<ClientIssue> issue_scratch_;
   /// Owner-exclusive: a shard's listener callbacks only touch its slot.
   std::vector<sim::LatencyHistogram> shard_qwait_;
   std::vector<sim::LatencyHistogram> shard_service_;

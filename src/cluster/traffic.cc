@@ -10,8 +10,9 @@ namespace deepnote::cluster {
 
 namespace {
 
-/// A round's issue order. A client has at most one pending issue, so
-/// (at, client) pairs are unique.
+/// A run's issue order. A client has at most one pending issue, so a
+/// population's (at, client) pairs are unique; open-loop arrivals are
+/// all client 0, and a run keeps equal ones in arrival order.
 constexpr auto issue_before = [](const ClientIssue& a, const ClientIssue& b) {
   return a.at == b.at ? a.client < b.client : a.at < b.at;
 };
@@ -72,6 +73,50 @@ ZipfAliasSampler::ZipfAliasSampler(std::uint64_t n, double theta)
 
 double ZipfAliasSampler::probability(std::uint64_t rank) const {
   return 1.0 / (std::pow(static_cast<double>(rank + 1), theta_) * zetan_);
+}
+
+void IssueRuns::clear(std::size_t runs) {
+  runs_.resize(runs);
+  for (Run& run : runs_) run.issues.clear();
+}
+
+std::size_t IssueRuns::size() const {
+  std::size_t issues = 0;
+  for (const Run& run : runs_) issues += run.issues.size();
+  return issues;
+}
+
+void IssueRuns::split(std::size_t slices) {
+  const std::size_t nr = runs_.size();
+  bounds_.resize((slices + 1) * nr);
+  slice_begin_.resize(slices + 1);
+  heads_.resize(slices * nr);
+  // Cut every run at the same (at, client) keys, taken at even steps
+  // along the longest run: the runs' issues spread alike, so the slices
+  // come out about equal.
+  std::size_t longest = 0;
+  for (std::size_t r = 1; r < nr; ++r) {
+    if (runs_[r].issues.size() > runs_[longest].issues.size()) longest = r;
+  }
+  const std::vector<ClientIssue>& pivots = runs_[longest].issues;
+  for (std::size_t s = 0; s <= slices; ++s) {
+    std::size_t begin = 0;
+    for (std::size_t r = 0; r < nr; ++r) {
+      const std::vector<ClientIssue>& run = runs_[r].issues;
+      std::size_t cut = 0;
+      if (s == slices) {
+        cut = run.size();
+      } else if (s > 0 && !run.empty()) {
+        const ClientIssue& pivot = pivots[pivots.size() * s / slices];
+        cut = static_cast<std::size_t>(
+            std::lower_bound(run.begin(), run.end(), pivot, issue_before) -
+            run.begin());
+      }
+      bounds_[s * nr + r] = static_cast<std::uint32_t>(cut);
+      begin += cut;
+    }
+    slice_begin_[s] = begin;
+  }
 }
 
 void IssueCalendar::reset(sim::SimTime origin, std::size_t capacity) {
@@ -249,7 +294,6 @@ void ClosedLoopPopulation::reset(const TrafficConfig& traffic,
     const std::size_t hi = std::min(clients, lo + size);
     // A client has at most one pending issue.
     part.calendar.reset(start, hi - lo);
-    part.run.clear();
     part.earns = 0;
     for (std::size_t i = lo; i < hi; ++i) {
       Client& c = clients_[i];
@@ -266,103 +310,46 @@ void ClosedLoopPopulation::reset(const TrafficConfig& traffic,
   }
 }
 
-void ClosedLoopPopulation::collect_due(sim::SimTime horizon,
-                                       const ZipfAliasSampler& zipf,
-                                       std::vector<ClientIssue>& out,
-                                       sim::TaskPool* pool) {
-  if (parts_.size() > 1) {
-    collect_runs(horizon, zipf, pool);
-    merge_runs(out);
-    return;
-  }
-  Partition& part = parts_.front();
-  collect_partition(part, horizon, zipf, out);
-  if (budget_ == nullptr) return;
-  for (std::uint64_t i = 0; i < part.earns; ++i) budget_->earn();
-}
-
 std::size_t ClosedLoopPopulation::collect_runs(sim::SimTime horizon,
                                                const ZipfAliasSampler& zipf,
+                                               IssueRuns& round,
                                                sim::TaskPool* pool) {
+  round.clear(parts_.size());
   round_horizon_ = horizon;
   round_zipf_ = &zipf;
+  round_ = &round;
   // Captures only `this`, so the std::function holds it without an
   // allocation.
   const auto collect = [this](std::size_t p) {
-    Partition& part = parts_[p];
-    part.run.clear();
-    collect_partition(part, round_horizon_, *round_zipf_, part.run);
+    collect_partition(parts_[p], round_horizon_, *round_zipf_, round_->run(p));
   };
   if (pool != nullptr && parts_.size() > 1) {
     pool->run_indexed(parts_.size(), collect);
   } else {
     for (std::size_t p = 0; p < parts_.size(); ++p) collect(p);
   }
-  std::size_t issues = 0;
-  for (const Partition& part : parts_) {
-    issues += part.run.size();
-    if (budget_ == nullptr) continue;
-    for (std::uint64_t i = 0; i < part.earns; ++i) budget_->earn();
-  }
-  return issues;
-}
-
-void ClosedLoopPopulation::merge_runs(std::vector<ClientIssue>& out) {
-  split_runs(1);
-  merge_slice(0, [&](const ClientIssue& issue, std::size_t) {
-    out.push_back(issue);
-  });
-}
-
-void ClosedLoopPopulation::split_runs(std::size_t slices) {
-  const std::size_t np = parts_.size();
-  bounds_.resize((slices + 1) * np);
-  slice_begin_.resize(slices + 1);
-  heads_.resize(slices * np);
-  // Cut every run at the same (at, client) keys, taken at even steps
-  // along the longest run: the runs' issues spread alike, so the slices
-  // come out about equal.
-  std::size_t longest = 0;
-  for (std::size_t p = 1; p < np; ++p) {
-    if (parts_[p].run.size() > parts_[longest].run.size()) longest = p;
-  }
-  const std::vector<ClientIssue>& pivots = parts_[longest].run;
-  for (std::size_t s = 0; s <= slices; ++s) {
-    std::size_t begin = 0;
-    for (std::size_t p = 0; p < np; ++p) {
-      const std::vector<ClientIssue>& run = parts_[p].run;
-      std::size_t cut = 0;
-      if (s == slices) {
-        cut = run.size();
-      } else if (s > 0) {
-        const ClientIssue& pivot = pivots[pivots.size() * s / slices];
-        cut = static_cast<std::size_t>(
-            std::lower_bound(run.begin(), run.end(), pivot, issue_before) -
-            run.begin());
-      }
-      bounds_[s * np + p] = static_cast<std::uint32_t>(cut);
-      begin += cut;
+  if (budget_ != nullptr) {
+    for (const Partition& part : parts_) {
+      for (std::uint64_t i = 0; i < part.earns; ++i) budget_->earn();
     }
-    slice_begin_[s] = begin;
   }
+  return round.size();
 }
 
 void ClosedLoopPopulation::collect_partition(Partition& part,
                                              sim::SimTime horizon,
                                              const ZipfAliasSampler& zipf,
                                              std::vector<ClientIssue>& out) {
-  // The calendar hands out at <= limit; collect_due's contract is
+  // The calendar hands out at <= limit; a round takes the clients due
   // strictly below the horizon, so harvest to horizon - 1ns.
-  const std::size_t first = out.size();
   part.earns = 0;
   part.calendar.harvest(sim::SimTime{horizon.ns() - 1}, out);
   // This order, and every byte downstream, does not depend on how the
   // calendar laid the records out.
-  std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
-            issue_before);
+  std::sort(out.begin(), out.end(), issue_before);
   constexpr std::size_t kAhead = 4;
   constexpr std::size_t kBatch = ZipfAliasSampler::kBatch;
-  for (std::size_t lo = first; lo < out.size(); lo += kBatch) {
+  for (std::size_t lo = 0; lo < out.size(); lo += kBatch) {
     const std::size_t hi = std::min(out.size(), lo + kBatch);
     // Pass 1: every fresh client in the batch draws its key and read
     // coin, starting the key's table fetch. Drawn against the client's

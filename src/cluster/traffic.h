@@ -109,16 +109,109 @@ struct TrafficReport {
   std::uint64_t writes = 0;
 };
 
-/// One request issue from a closed-loop client (already keyed and typed;
-/// the drawing happened against the issuing client's own RNG stream).
-/// Opens with an IssueCalendar record's fields, so a harvest can append
-/// ClientIssue{at, client} straight into a round.
+/// One request issue, already keyed and typed: a closed-loop client's
+/// (drawn against the client's own RNG stream) or an open-loop arrival
+/// (client 0). Opens with an IssueCalendar record's fields, so a
+/// harvest can append ClientIssue{at, client} straight into a round.
 struct ClientIssue {
   sim::SimTime at = sim::SimTime::zero();
   std::uint32_t client = 0;
   bool is_read = true;
   std::uint64_t key = 0;
 };
+
+/// One round of issues, held as runs that are each sorted by (at,
+/// client): the open-loop generator fills one run, a closed-loop
+/// population one per partition. The round's order is the runs' k-way
+/// merge by (at, client), ties between runs going to the lower run; the
+/// partitions' id ranges ascend, so that is the order one calendar of
+/// the whole population would hand out. split(slices) cuts that order
+/// into contiguous slices of about equal size, and merge_slice(s, fn)
+/// calls fn(issue, i) for each issue of slice s in order, i being the
+/// issue's index in the whole round. Different slices may be merged at
+/// once, each by one thread.
+class IssueRuns {
+ public:
+  /// Empty the round into `runs` runs; each keeps its capacity.
+  void clear(std::size_t runs);
+  std::size_t runs() const { return runs_.size(); }
+  std::vector<ClientIssue>& run(std::size_t r) { return runs_[r].issues; }
+  /// The round's size.
+  std::size_t size() const;
+
+  void split(std::size_t slices);
+  /// Index in the round of slice `slice`'s first issue; slice_begin of
+  /// the slice count is the round's size.
+  std::size_t slice_begin(std::size_t slice) const {
+    return slice_begin_[slice];
+  }
+  template <class Fn>
+  void merge_slice(std::size_t slice, Fn&& fn);
+
+ private:
+  /// Aligned to a cache line: different threads fill neighbouring runs.
+  struct alignas(64) Run {
+    std::vector<ClientIssue> issues;
+  };
+  /// The next issue of one run's part of a slice. merge_slice keeps them
+  /// in a min-heap by (at, run).
+  struct RunHead {
+    std::int64_t at_ns = 0;
+    std::uint32_t run = 0;
+    std::uint32_t next = 0;  ///< index of the head within the run
+    std::uint32_t end = 0;   ///< where the slice's part of the run ends
+  };
+  static bool before(const RunHead& a, const RunHead& b) {
+    return a.at_ns == b.at_ns ? a.run < b.run : a.at_ns < b.at_ns;
+  }
+  /// Restore the heap heads[0, n) below `i`.
+  static void sink(RunHead* heads, std::size_t i, std::size_t n) {
+    for (;;) {
+      std::size_t child = 2 * i + 1;
+      if (child >= n) return;
+      if (child + 1 < n && before(heads[child + 1], heads[child])) ++child;
+      if (!before(heads[child], heads[i])) return;
+      std::swap(heads[child], heads[i]);
+      i = child;
+    }
+  }
+
+  std::vector<Run> runs_;
+  /// split's cut: slice s takes [bounds_[s * R + r], bounds_[(s + 1) * R
+  /// + r]) of run r, for R runs.
+  std::vector<std::uint32_t> bounds_;
+  std::vector<std::size_t> slice_begin_;
+  std::vector<RunHead> heads_;  ///< R per slice
+};
+
+template <class Fn>
+void IssueRuns::merge_slice(std::size_t slice, Fn&& fn) {
+  const std::size_t nr = runs_.size();
+  RunHead* heads = heads_.data() + slice * nr;
+  std::size_t n = 0;
+  for (std::size_t r = 0; r < nr; ++r) {
+    const std::uint32_t lo = bounds_[slice * nr + r];
+    const std::uint32_t hi = bounds_[(slice + 1) * nr + r];
+    if (lo == hi) continue;
+    heads[n++] = RunHead{runs_[r].issues[lo].at.ns(),
+                         static_cast<std::uint32_t>(r), lo, hi};
+  }
+  for (std::size_t i = n / 2; i-- > 0;) sink(heads, i, n);
+  // Take the earliest head and step its run on; a run whose part of the
+  // slice ends gives its place to the heap's last head.
+  std::size_t index = slice_begin_[slice];
+  while (n > 0) {
+    RunHead& top = heads[0];
+    const std::vector<ClientIssue>& run = runs_[top.run].issues;
+    fn(run[top.next], index++);
+    if (++top.next < top.end) {
+      top.at_ns = run[top.next].at.ns();
+    } else {
+      top = heads[--n];
+    }
+    sink(heads, 0, n);
+  }
+}
 
 /// A closed-loop partition's calendar of pending next issues: (at, id)
 /// records, handed out in bulk. Unlike sim::TimerWheel it never
@@ -222,18 +315,17 @@ class IssueCalendar {
 ///
 /// The clients are split into partitions, contiguous id ranges, and
 /// each partition's idle clients wait in its own IssueCalendar keyed by
-/// next-issue time. A round harvests each partition's due clients,
-/// sorts them into (at, client) order and draws their keys; partitions
-/// touch only their own clients and calendar, so they can collect on
-/// different threads. One partition writes straight into the caller's
-/// vector; several each fill their own run, and a k-way merge by (at,
-/// client) hands the round out in the order a single calendar would,
-/// whole or in slices that different threads merge. Fresh issues earn
-/// into the retry budget only after the partitions are done: the earns
-/// are identical capped adds, so their order does not matter. A round
-/// costs O(due), and only the calendars' slides (one per 134 ms of
-/// simulated time) pass over the clients waiting past their window;
-/// the partitions' calendars together hold what one calendar would.
+/// next-issue time. A round harvests each partition's due clients into
+/// the partition's run of an IssueRuns, sorts them into (at, client)
+/// order and draws their keys; partitions touch only their own clients,
+/// calendar and run, so they can collect on different threads, and the
+/// runs' merge hands the round out in the order a single calendar
+/// would. Fresh issues earn into the retry budget only after the
+/// partitions are done: the earns are identical capped adds, so their
+/// order does not matter. A round costs O(due), and only the calendars'
+/// slides (one per 134 ms of simulated time) pass over the clients
+/// waiting past their window; the partitions' calendars together hold
+/// what one calendar would.
 class ClosedLoopPopulation {
  public:
   ClosedLoopPopulation() = default;
@@ -251,34 +343,13 @@ class ClosedLoopPopulation {
              resilience::RetryBudget* budget, sim::SimTime start,
              std::size_t partitions = 1);
 
-  /// Append every client whose next issue falls before `horizon` to
-  /// `out` (sorted by (at, client)) and mark them in flight. Their keys
-  /// are drawn here, against each client's own stream. With several
+  /// Make `round` one run per partition, each holding that partition's
+  /// clients whose next issue falls before `horizon`, sorted by (at,
+  /// client), mark them in flight and return the round's size. Their
+  /// keys are drawn here, against each client's own stream. With several
   /// partitions and a `pool`, the partitions collect on the pool.
-  void collect_due(sim::SimTime horizon, const ZipfAliasSampler& zipf,
-                   std::vector<ClientIssue>& out,
-                   sim::TaskPool* pool = nullptr);
-
-  /// collect_due in steps, for a caller that takes a round in slices on
-  /// several threads. collect_runs collects every partition's due
-  /// clients into its own sorted run (on `pool` when given one) and
-  /// returns the round's size; merge_runs appends the whole round to
-  /// `out`. Or split_runs cuts the round's (at, client) order into
-  /// `slices` contiguous slices of about equal size, and merge_slice(s,
-  /// fn) calls fn(issue, i) for each issue of slice s in that order, i
-  /// being the issue's index in the whole round. Different slices may
-  /// be merged at once, each by one thread.
   std::size_t collect_runs(sim::SimTime horizon, const ZipfAliasSampler& zipf,
-                           sim::TaskPool* pool);
-  void merge_runs(std::vector<ClientIssue>& out);
-  void split_runs(std::size_t slices);
-  /// Index in the round of slice `slice`'s first issue; slice_begin of
-  /// the slice count is the round's size.
-  std::size_t slice_begin(std::size_t slice) const {
-    return slice_begin_[slice];
-  }
-  template <class Fn>
-  void merge_slice(std::size_t slice, Fn&& fn);
+                           IssueRuns& round, sim::TaskPool* pool = nullptr);
 
   /// Report the outcome of `client`'s in-flight request at `when`.
   void complete(std::uint32_t client, sim::SimTime when, OutcomeKind outcome);
@@ -315,86 +386,28 @@ class ClosedLoopPopulation {
     /// Idle clients by next-issue time; id = client index. Harvested
     /// strictly below the round horizon.
     IssueCalendar calendar;
-    std::vector<ClientIssue> run;  ///< the sorted issues, to be merged
     /// Key draws of one batch of a harvest, by index within the batch.
     std::array<ZipfAliasSampler::Draw, ZipfAliasSampler::kBatch> draws;
     std::uint64_t earns = 0;  ///< fresh issues, not yet earned
   };
 
-  /// Harvest, sort and key one partition's due clients onto the end of
-  /// `out`.
+  /// Harvest, sort and key one partition's due clients into `out`, its
+  /// empty run of the round.
   void collect_partition(Partition& part, sim::SimTime horizon,
                          const ZipfAliasSampler& zipf,
                          std::vector<ClientIssue>& out);
 
-  /// The next issue of one partition's part of a slice. merge_slice
-  /// keeps them in a min-heap by (at, partition), which is (at, client)
-  /// order because the id ranges ascend.
-  struct RunHead {
-    std::int64_t at_ns = 0;
-    std::uint32_t part = 0;
-    std::uint32_t next = 0;  ///< index of the head within the run
-    std::uint32_t end = 0;   ///< where the slice's part of the run ends
-  };
-  static bool before(const RunHead& a, const RunHead& b) {
-    return a.at_ns == b.at_ns ? a.part < b.part : a.at_ns < b.at_ns;
-  }
-  /// Restore the heap heads[0, n) below `i`.
-  static void sink(RunHead* heads, std::size_t i, std::size_t n) {
-    for (;;) {
-      std::size_t child = 2 * i + 1;
-      if (child >= n) return;
-      if (child + 1 < n && before(heads[child + 1], heads[child])) ++child;
-      if (!before(heads[child], heads[i])) return;
-      std::swap(heads[child], heads[i]);
-      i = child;
-    }
-  }
-
   std::vector<Client> clients_;
   std::vector<Partition> parts_;
-  /// split_runs' cut: slice s takes [bounds_[s * P + p],
-  /// bounds_[(s + 1) * P + p]) of partition p's run, for P partitions.
-  std::vector<std::uint32_t> bounds_;
-  std::vector<std::size_t> slice_begin_;
-  std::vector<RunHead> heads_;  ///< P per slice
-  /// The round collect_due is harvesting, for the pool's tasks.
+  /// The round collect_runs is harvesting, for the pool's tasks.
   sim::SimTime round_horizon_ = sim::SimTime::zero();
   const ZipfAliasSampler* round_zipf_ = nullptr;
+  IssueRuns* round_ = nullptr;
   double think_mean_s_ = 0.0;
   double read_fraction_ = 1.0;
   resilience::BackoffConfig backoff_;
   resilience::RetryBudget* budget_ = nullptr;
   std::uint64_t retries_ = 0;
 };
-
-template <class Fn>
-void ClosedLoopPopulation::merge_slice(std::size_t slice, Fn&& fn) {
-  const std::size_t np = parts_.size();
-  RunHead* heads = heads_.data() + slice * np;
-  std::size_t n = 0;
-  for (std::size_t p = 0; p < np; ++p) {
-    const std::uint32_t lo = bounds_[slice * np + p];
-    const std::uint32_t hi = bounds_[(slice + 1) * np + p];
-    if (lo == hi) continue;
-    heads[n++] = RunHead{parts_[p].run[lo].at.ns(),
-                         static_cast<std::uint32_t>(p), lo, hi};
-  }
-  for (std::size_t i = n / 2; i-- > 0;) sink(heads, i, n);
-  // Take the earliest head and step its run on; a run whose part of the
-  // slice ends gives its place to the heap's last head.
-  std::size_t index = slice_begin_[slice];
-  while (n > 0) {
-    RunHead& top = heads[0];
-    const std::vector<ClientIssue>& run = parts_[top.part].run;
-    fn(run[top.next], index++);
-    if (++top.next < top.end) {
-      top.at_ns = run[top.next].at.ns();
-    } else {
-      top = heads[--n];
-    }
-    sink(heads, 0, n);
-  }
-}
 
 }  // namespace deepnote::cluster

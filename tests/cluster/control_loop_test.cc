@@ -1,5 +1,6 @@
 // Engine control-loop tests on MemDisk nodes, in exact virtual time:
-// primary reads, failover, detector-driven drain, probe readmission,
+// primary reads, failover, detector-driven drain, probe readmission
+// (in every epoch, even one with no closed-loop client due),
 // the write quorum, writes and reads through drained replicas, the
 // failover budget, hedged reads, and the constructor's checks of the
 // device list and object space.
@@ -233,6 +234,33 @@ TEST(ControlLoop, FailStaticReadsStillTryAFullyDrainedSet) {
   EXPECT_GT(slo.succeeded(), served_before);
   EXPECT_EQ(slo.failed(), 0u);
   EXPECT_EQ(report.stats.read_failovers, 0u);
+}
+
+// A closed-loop population so sparse that most epochs have no client
+// due still runs every probe. Node 0 is forced out of rotation from the
+// first barrier, so each probe reads a healthy disk and readmits it,
+// and the same barrier drains it again: node 0 serves no traffic, and
+// its disk sees exactly the probes.
+TEST(ControlLoop, SparseClosedLoopRunsEveryProbe) {
+  MemCluster mem;
+  EngineConfig config = mem_engine_config();
+  config.traffic.arrival_rate_per_s = 2.0;
+  config.traffic.duration = sim::Duration::from_seconds(5.0);
+  config.serving.enabled = true;
+  config.serving.closed_loop = true;
+  config.serving.clients = 1;
+  ShardedClusterEngine engine(mem.topo, mem.devices(), config);
+  SloTracker slo(sim::SimTime::zero());
+  const EngineReport report =
+      engine.run(sim::SimTime::zero(), slo, force_drain(engine, {0}));
+  const BalancerStats& s = report.stats;
+
+  // 100 epochs, about 10 of them with a request in flight.
+  EXPECT_GT(report.traffic.requests, 0u);
+  EXPECT_LT(report.traffic.requests, 50u);
+  EXPECT_GT(s.probes, 10u);
+  EXPECT_EQ(s.readmits, s.probes);
+  EXPECT_EQ(mem.disks[0]->read_count(), s.probes);
 }
 
 TEST(ControlLoop, RetryBudgetDeniesRunawayFailover) {

@@ -54,7 +54,9 @@ namespace {
 // the heap: every epoch's requests, legs, probes, and per-node queues
 // land in arenas sized by the first run. MemDisk nodes keep the device
 // layer allocation-free too (the drive model's write ledger is exempt
-// from the contract — serving benches run timing-only).
+// from the contract — serving benches run timing-only). Inline, and at
+// 4 jobs with min_ops_to_shard = 0, where every open-loop round routes
+// in chunks on the pool and every wave gathers and runs there.
 TEST(EngineAllocTest, WarmEngineRunIsAllocationFree) {
   constexpr std::uint64_t kSectors = 16384;
   const ClusterTopology topo{.pods = 3, .bays_per_pod = 2};
@@ -66,29 +68,38 @@ TEST(EngineAllocTest, WarmEngineRunIsAllocationFree) {
     devices.push_back(disks.back().get());
   }
 
-  EngineConfig config;
-  config.balancer.objects = 1000;
-  config.traffic.arrival_rate_per_s = 2000.0;
-  config.traffic.duration = sim::Duration::from_seconds(0.5);
-  config.traffic.keyspace = 1000;
-  config.jobs = 1;
-  ShardedClusterEngine engine(topo, devices, config);
+  struct Input {
+    unsigned jobs;
+    std::size_t min_ops_to_shard;
+  };
+  for (const Input input : {Input{1, 2048}, Input{4, 0}}) {
+    SCOPED_TRACE(::testing::Message() << input.jobs << " jobs");
+    EngineConfig config;
+    config.balancer.objects = 1000;
+    config.traffic.arrival_rate_per_s = 2000.0;
+    config.traffic.duration = sim::Duration::from_seconds(0.5);
+    config.traffic.keyspace = 1000;
+    config.jobs = input.jobs;
+    config.min_ops_to_shard = input.min_ops_to_shard;
+    ShardedClusterEngine engine(topo, devices, config);
 
-  // Warm run: grows every arena to the stream's steady-state footprint
-  // and faults in MemDisk chunks for every written object.
-  SloTracker slo(sim::SimTime::zero());
-  const EngineReport warm = engine.run(sim::SimTime::zero(), slo);
-  ASSERT_GT(warm.traffic.requests, 500u);
+    // Warm run: grows every arena to the stream's steady-state footprint
+    // and faults in MemDisk chunks for every written object.
+    SloTracker slo(sim::SimTime::zero());
+    const EngineReport warm = engine.run(sim::SimTime::zero(), slo);
+    ASSERT_GT(warm.traffic.requests, 500u);
+    EXPECT_EQ(warm.chunked_rounds > 0, input.jobs > 1);
 
-  // Identical replay (same seed, same devices): zero allocations across
-  // the full run — start_run's resets reuse capacity too.
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
-  const EngineReport measured = engine.run(sim::SimTime::zero(), slo);
-  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+    // Identical replay (same seed, same devices): zero allocations across
+    // the full run — start_run's resets reuse capacity too.
+    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    const EngineReport measured = engine.run(sim::SimTime::zero(), slo);
+    const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
 
-  EXPECT_EQ(measured.traffic.requests, warm.traffic.requests);
-  EXPECT_EQ(after - before, 0u)
-      << "steady-state engine loop allocated on the hot path";
+    EXPECT_EQ(measured.traffic.requests, warm.traffic.requests);
+    EXPECT_EQ(after - before, 0u)
+        << "steady-state engine loop allocated on the hot path";
+  }
 }
 
 }  // namespace

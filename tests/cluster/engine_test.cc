@@ -25,6 +25,7 @@ struct RunResult {
   std::int64_t p999_ns = 0;
   BalancerStats stats;
   unsigned shards = 0;
+  std::uint64_t chunked_rounds = 0;
 };
 
 /// One attacked cross-pod cell on the engine with the given wave
@@ -86,6 +87,7 @@ RunResult run_attacked_cell(unsigned jobs, std::size_t min_ops_to_shard,
   result.p999_ns = slo.p999().ns();
   result.stats = report.stats;
   result.shards = engine.shards();
+  result.chunked_rounds = report.chunked_rounds;
   return result;
 }
 
@@ -115,13 +117,16 @@ void expect_identical(const RunResult& a, const RunResult& b) {
 
 // The partition-invariance contract: which thread executes a node's ops
 // never shows in the output. Inline (jobs=1) and forced-sharded
-// (jobs=8, every wave through the pool) runs must agree bit-exactly on
-// every request outcome and every control-loop counter.
+// (jobs=8, every open-loop round routed in chunks and every wave run
+// through the pool) runs must agree bit-exactly on every request
+// outcome and every control-loop counter.
 TEST(ClusterEngine, ShardedRunIsBitIdenticalToInline) {
   const RunResult inline_run = run_attacked_cell(1, 2048);
   const RunResult sharded_run = run_attacked_cell(8, 0);
   EXPECT_EQ(inline_run.shards, 1u);
   EXPECT_GT(sharded_run.shards, 1u);
+  EXPECT_EQ(inline_run.chunked_rounds, 0u);
+  EXPECT_GT(sharded_run.chunked_rounds, 0u);
   expect_identical(inline_run, sharded_run);
   // The run did real failover work (this is not a trivially-empty cell).
   EXPECT_GT(inline_run.requests, 0u);

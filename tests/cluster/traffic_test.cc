@@ -1,7 +1,8 @@
 // Traffic tests: the exact alias-method Zipf sampler and its batched
 // draw/prefetch/resolve split, the closed-loop population's next-issue
 // calendar (differentially, against the timer wheel) and its partitions
-// (against one partition, inline and on a pool), and the engine's
+// (against one partition, inline and on a pool), the slices a round's
+// runs are read back in, and the engine's
 // open-loop arrivals — Poisson arrival counts, the read/write mix,
 // deterministic replay, timeline action delivery and the rejection of
 // degenerate traffic configs — on MemDisk nodes.
@@ -228,13 +229,39 @@ TEST(IssueCalendar, HarvestsExactlyWhatTheTimerWheelFires) {
   EXPECT_GT(seen.long_jump, 0);
 }
 
+bool same_issue(const ClientIssue& a, const ClientIssue& b) {
+  return a.at == b.at && a.client == b.client && a.key == b.key &&
+         a.is_read == b.is_read;
+}
+
+/// `round` read back in order through `slices` slices, one after the
+/// other. Counts in `misplaced` every issue whose index, as merge_slice
+/// passes it, is not its position in the round.
+std::vector<ClientIssue> read_back(IssueRuns& round, std::size_t slices,
+                                   std::size_t& misplaced) {
+  std::vector<ClientIssue> out;
+  round.split(slices);
+  for (std::size_t s = 0; s < slices; ++s) {
+    if (round.slice_begin(s) != out.size()) ++misplaced;
+    round.merge_slice(s, [&](const ClientIssue& issue, std::size_t i) {
+      if (i != out.size()) ++misplaced;
+      out.push_back(issue);
+    });
+  }
+  if (round.slice_begin(slices) != out.size()) ++misplaced;
+  return out;
+}
+
 // Partitions decide only which calendar holds a client and which thread
 // collects it, never what a round hands out. One seeded outcome timeline
 // (served, shed, failed and timed-out outcomes, with retry_failures and
 // jitter on and a retry budget that runs dry) drives populations of 1,
 // 2, 3, 4, 16 and 17 partitions, collected inline and on a 4-thread
 // pool. Every round must match the single-partition run issue for
-// issue, and so must the retry count and the budget.
+// issue, and so must the retry count and the budget. Each round read
+// back through 2, 3 and 5 slices must be the round read in one, with
+// every issue passed at its position in the round; so must a single
+// run shaped like the open-loop arrivals.
 TEST(ClosedLoopPopulation, PartitionsDoNotChangeTheIssues) {
   constexpr std::size_t kClients = 1000;
   constexpr int kRounds = 400;
@@ -272,11 +299,24 @@ TEST(ClosedLoopPopulation, PartitionsDoNotChangeTheIssues) {
     sim::Rng timeline(0x0c0e);
     Trace trace;
     sim::SimTime horizon = sim::SimTime::zero();
-    std::vector<ClientIssue> due;
+    IssueRuns runs;
+    std::size_t misplaced = 0;
+    std::size_t resliced = 0;
     for (int round = 0; round < kRounds; ++round) {
       horizon = horizon + sim::Duration::from_millis(5.0);
-      due.clear();
-      population.collect_due(horizon, zipf, due, pool);
+      const std::size_t issues =
+          population.collect_runs(horizon, zipf, runs, pool);
+      EXPECT_EQ(runs.runs(), partitions);
+      const std::vector<ClientIssue> due = read_back(runs, 1, misplaced);
+      EXPECT_EQ(due.size(), issues);
+      for (const std::size_t slices : {2, 3, 5}) {
+        const std::vector<ClientIssue> sliced =
+            read_back(runs, slices, misplaced);
+        if (!std::equal(sliced.begin(), sliced.end(), due.begin(), due.end(),
+                        same_issue)) {
+          ++resliced;
+        }
+      }
       trace.rounds.push_back(due);
       for (const ClientIssue& issue : due) {
         const double u = timeline.next_double();
@@ -292,6 +332,8 @@ TEST(ClosedLoopPopulation, PartitionsDoNotChangeTheIssues) {
             outcome);
       }
     }
+    EXPECT_EQ(misplaced, 0u);
+    EXPECT_EQ(resliced, 0u) << "rounds that slicing changed";
     trace.retries = population.retries();
     trace.spent = budget.spent();
     trace.denied = budget.denied();
@@ -333,6 +375,32 @@ TEST(ClosedLoopPopulation, PartitionsDoNotChangeTheIssues) {
       EXPECT_EQ(got.spent, want.spent);
       EXPECT_EQ(got.denied, want.denied);
       EXPECT_EQ(got.tokens, want.tokens);
+    }
+  }
+
+  // The open-loop shape: one run in arrival order, all client 0, with
+  // runs of equal arrival times. Every slicing reads it back unchanged,
+  // more slices than issues and a run of one repeated time included.
+  const std::vector<std::vector<std::int64_t>> shapes = {
+      {0, 0, 0, 5, 5, 9, 12, 12, 12, 12, 20, 31, 31, 40, 40, 40, 40, 41},
+      {7, 7, 7, 7},
+      {3}};
+  for (const std::vector<std::int64_t>& times : shapes) {
+    IssueRuns runs;
+    runs.clear(1);
+    for (std::size_t i = 0; i < times.size(); ++i) {
+      runs.run(0).push_back(ClientIssue{sim::SimTime{times[i]}, 0, i % 3 != 0,
+                                        1000 + i});
+    }
+    const std::vector<ClientIssue> arrivals = runs.run(0);
+    for (const std::size_t slices : {1, 2, 3, 5, 7}) {
+      SCOPED_TRACE(::testing::Message()
+                   << times.size() << " arrivals, " << slices << " slices");
+      std::size_t misplaced = 0;
+      const std::vector<ClientIssue> got = read_back(runs, slices, misplaced);
+      EXPECT_EQ(misplaced, 0u);
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), arrivals.begin(),
+                             arrivals.end(), same_issue));
     }
   }
 }
